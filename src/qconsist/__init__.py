@@ -51,7 +51,6 @@ from .experiments import (
     decay_sweep,
     fit_loglog,
     noise_power_check,
-    relaxed_sweep,
     proximity_violation_scan,
     write_records,
 )

@@ -33,7 +33,6 @@ from .experiments import (
     bias_experiment,
     decay_sweep,
     noise_power_check,
-    relaxed_sweep,
     proximity_violation_scan,
     write_records,
 )
@@ -334,7 +333,7 @@ def criterion_relaxed(tier: Tier, master: int, threads: int = 1):
             eta=0.1,
             seed=_seed_for(master, 10),
         )
-        sweeps[r] = relaxed_sweep(cfg, threads)
+        sweeps[r] = decay_sweep(cfg, threads)
     lo, hi = SLOPE_WINDOW
     slopes = {r: s.fit.slope for r, s in sweeps.items()}
     slope_ok = all(lo <= s <= hi for s in slopes.values())

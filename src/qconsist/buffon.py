@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .randkit import Stream, gauss, uniform
 
@@ -209,6 +208,9 @@ def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
         v = math.sin(u)
         f = max(v - rho_ratio, 0.0) - max(v - upper, 0.0)
         return math.cos(u) ** (n - 2) * f
+
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import quad
 
     kinks = [math.asin(v) for v in (rho_ratio, upper) if 0.0 < v < 1.0]
     value, _ = quad(

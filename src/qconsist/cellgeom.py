@@ -23,7 +23,8 @@ progression can matter.
 Width estimates are certified lower bounds: the witness point re-quantizes
 to the cell's codes (integer equality; discrepancy <= r for relaxed cells)
 after a relative 1e-12 pullback that keeps it strictly inside the
-half-open slabs.
+half-open slabs.  Where rounding defeats that pullback on a short exit,
+the pullback doubles until the witness verifies.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "build_cell",
     "ball_cell",
     "cell_contains",
+    "verified_member",
     "code_discrepancy",
     "ray_exit_strict",
     "ray_exit_relaxed",
@@ -70,7 +72,8 @@ class ConsistencyCell:
 
     `ensemble` is None for the unconstrained ball (no slabs), used as the
     degenerate base case.  `support`, when set, restricts the cell to the
-    subspace of vectors supported on those indices.
+    subspace of vectors supported on those indices.  `dim` is the ambient
+    dimension.
     """
 
     ensemble: SensingEnsemble | None
@@ -79,16 +82,11 @@ class ConsistencyCell:
     support: np.ndarray | None
     lo: np.ndarray
     hi: np.ndarray
+    dim: int
 
     @property
     def m(self) -> int:
         return self.codes.shape[0]
-
-    @property
-    def n(self) -> int:
-        if self.ensemble is not None:
-            return self.ensemble.n
-        return self._ball_dim  # type: ignore[attr-defined]
 
     @property
     def delta(self) -> float:
@@ -103,7 +101,27 @@ class ConsistencyCell:
         return self.ensemble.phi[:, self.support]
 
     def active_dim(self) -> int:
-        return self.n if self.support is None else int(self.support.shape[0])
+        return self.dim if self.support is None else int(self.support.shape[0])
+
+    def on_support(self, u: np.ndarray) -> bool:
+        """Whether a full-dimension vector is zero off the support."""
+        if self.support is None:
+            return True
+        off = np.ones(self.dim, dtype=bool)
+        off[self.support] = False
+        return not np.any(u[off] != 0.0)
+
+    def restrict(self, u: np.ndarray) -> np.ndarray:
+        """Active coordinates of a full-dimension vector."""
+        return u if self.support is None else u[self.support]
+
+    def embed(self, u_act: np.ndarray) -> np.ndarray:
+        """Full-dimension vector, zero off the support, from active coordinates."""
+        if self.support is None:
+            return u_act
+        full = np.zeros(self.dim)
+        full[self.support] = u_act
+        return full
 
 
 def build_cell(
@@ -131,6 +149,7 @@ def build_cell(
         support=support,
         lo=lo,
         hi=lo + delta,
+        dim=ensemble.n,
     )
 
 
@@ -138,39 +157,49 @@ def ball_cell(n: int, ball_radius: float = 1.0) -> ConsistencyCell:
     """Cell with no slab constraints: the radius-R ball in R^n."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    cell = ConsistencyCell(
+    return ConsistencyCell(
         ensemble=None,
         codes=np.zeros(0, dtype=np.int64),
         ball_radius=float(ball_radius),
         support=None,
         lo=np.zeros(0),
         hi=np.zeros(0),
+        dim=int(n),
     )
-    object.__setattr__(cell, "_ball_dim", int(n))
-    return cell
 
 
-def code_discrepancy(cell: ConsistencyCell, u: np.ndarray) -> int:
-    """l1 code distance between u's observation and the cell's target codes."""
+def code_discrepancy(cell: ConsistencyCell, u: np.ndarray, phi: np.ndarray | None = None) -> int:
+    """l1 code distance between u's observation and the cell's target codes.
+
+    `phi` defaults to the full sensing matrix; a caller working in active
+    coordinates passes the support columns it multiplies with (a C-order
+    copy and the F-order slice of the same columns round differently).
+    """
     if cell.ensemble is None:
         return 0
-    codes_u = _encode_values(cell.ensemble.phi @ u + cell.ensemble.xi, cell.ensemble.spec.delta)
+    phi = cell.ensemble.phi if phi is None else phi
+    codes_u = _encode_values(phi @ u + cell.ensemble.xi, cell.delta)
     return int(np.abs(codes_u - cell.codes).sum())
+
+
+def verified_member(
+    cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: float = 0.0, phi: np.ndarray | None = None
+) -> bool:
+    """The membership test: ||u|| <= R + ball_tol and code discrepancy <= r.
+
+    Codes are compared as integers; `u` and `phi` are as in code_discrepancy.
+    """
+    if float(np.linalg.norm(u)) > cell.ball_radius + ball_tol:
+        return False
+    return code_discrepancy(cell, u, phi) <= r
 
 
 def cell_contains(cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: float = 0.0) -> bool:
     """Integer-verified membership of u in the (r-relaxed) cell."""
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (cell.n,):
-        raise ValueError(f"point has shape {u.shape}, expected ({cell.n},)")
-    if cell.support is not None:
-        off = np.ones(cell.n, dtype=bool)
-        off[cell.support] = False
-        if np.any(u[off] != 0.0):
-            return False
-    if float(np.linalg.norm(u)) > cell.ball_radius + ball_tol:
-        return False
-    return code_discrepancy(cell, u) <= r
+    if u.shape != (cell.dim,):
+        raise ValueError(f"point has shape {u.shape}, expected ({cell.dim},)")
+    return cell.on_support(u) and verified_member(cell, u, r, ball_tol)
 
 
 def _ball_exits(x0: np.ndarray, directions: np.ndarray, radius: float) -> np.ndarray:
@@ -221,13 +250,9 @@ def _check_ray_inputs(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray) -> t
         raise NotInCellError("ray origin is not a member of the cell")
     if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
-    if cell.support is not None:
-        off = np.ones(cell.n, dtype=bool)
-        off[cell.support] = False
-        if np.any(d[off] != 0.0):
-            raise ValueError("direction must be supported on the cell's support set")
-        return x0[cell.support], d[cell.support]
-    return x0, d
+    if not cell.on_support(d):
+        raise ValueError("direction must be supported on the cell's support set")
+    return cell.restrict(x0), cell.restrict(d)
 
 
 def ray_exit_strict(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray) -> float:
@@ -281,6 +306,8 @@ def estimate_width(
     canonical axis of the active coordinates, keeps the farthest exit, and
     returns it with a verified witness.  The value never decreases when
     `num_directions` grows under a replayed stream (nested direction sets).
+    A witness that rounding leaves outside the cell is pulled back twice as
+    far and re-verified; the center itself verifies, so this ends.
     """
     if num_directions < 1:
         raise ValueError(f"need at least one direction, got {num_directions}")
@@ -291,19 +318,17 @@ def estimate_width(
     rand = _random_directions(stream, dim, num_directions)
     axes = np.hstack([np.eye(dim), -np.eye(dim)])
     directions = np.hstack([rand, axes])
-    center_act = center if cell.support is None else center[cell.support]
+    center_act = cell.restrict(center)
     exits = _ray_exits(cell, center_act, directions, int(r))
-    exits = exits * (1.0 - _EXIT_MARGIN)
-    best = int(np.argmax(exits))
-    value = float(exits[best])
-    witness_act = center_act + value * directions[:, best]
-    if cell.support is None:
-        witness = witness_act
-    else:
-        witness = np.zeros(cell.n)
-        witness[cell.support] = witness_act
-    if not cell_contains(cell, witness, r=int(r), ball_tol=_BALL_TOL):
-        raise RuntimeError("internal error: width witness failed integer-code verification")
+    margin = _EXIT_MARGIN
+    while True:
+        pulled = exits * max(1.0 - margin, 0.0)
+        best = int(np.argmax(pulled))
+        value = float(pulled[best])
+        witness = cell.embed(center_act + value * directions[:, best])
+        if cell_contains(cell, witness, r=int(r), ball_tol=_BALL_TOL):
+            break
+        margin *= 2.0
     return WidthEstimate(
         value=value,
         witness=witness,
@@ -318,7 +343,6 @@ class WorstCaseResult:
 
     max_width: float
     widths: np.ndarray
-    estimates: list[WidthEstimate]
 
 
 def empirical_worst_case(
@@ -338,13 +362,10 @@ def empirical_worst_case(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     widths = np.zeros(trials)
-    estimates: list[WidthEstimate] = []
     for i in range(trials):
         stream = substream(master_seed, i)
         signal = sample_signal(model, stream)
         obs = sense(ensemble, signal)
         cell = build_cell(ensemble, obs.codes, ball_radius=1.0, support=signal.support)
-        est = estimate_width(cell, signal.x, num_directions, stream, r=r)
-        widths[i] = est.value
-        estimates.append(est)
-    return WorstCaseResult(max_width=float(widths.max()), widths=widths, estimates=estimates)
+        widths[i] = estimate_width(cell, signal.x, num_directions, stream, r=r).value
+    return WorstCaseResult(max_width=float(widths.max()), widths=widths)

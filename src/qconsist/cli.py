@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,17 @@ def _common_keys(default_out: str | None) -> list[Key]:
     ]
 
 
+# Shared by the width sweeps, decay and relaxed.
+_WIDTH_KEYS = [
+    Key("n", "int", 8, "signal dimension"),
+    Key("k", "int", None, "sparsity; set for sparse-signal sweeps"),
+    Key("m_list", "ints", (32, 64, 128, 256, 512, 1024), "comma-separated measurement counts, ascending"),
+    Key("trials", "int", 50, "trials per M"),
+    Key("directions", "int", 512, "random directions per width estimate"),
+    Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
+    Key("eta", "float", 0.1, "failure probability for the predicted overlay, in (0,1)"),
+]
+
 _KEYS: dict[str, list[Key]] = {
     "sense": _common_keys(None)
     + [
@@ -142,27 +154,10 @@ _KEYS: dict[str, list[Key]] = {
         Key("tol", "float", None, "slab interior margin; default 1e-9*delta"),
         Key("max_iter", "int", 100_000, "projection-cycle cap"),
     ],
-    "decay": _common_keys("decay.csv")
-    + [
-        Key("n", "int", 8, "signal dimension"),
-        Key("k", "int", None, "sparsity; set for sparse-signal sweeps"),
-        Key("m_list", "ints", (32, 64, 128, 256, 512, 1024), "comma-separated measurement counts, ascending"),
-        Key("trials", "int", 50, "trials per M"),
-        Key("directions", "int", 512, "random directions per width estimate"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-        Key("eta", "float", 0.1, "failure probability for the predicted overlay, in (0,1)"),
-    ],
+    "decay": _common_keys("decay.csv") + _WIDTH_KEYS,
     "relaxed": _common_keys("relaxed.csv")
-    + [
-        Key("n", "int", 8, "signal dimension"),
-        Key("k", "int", None, "sparsity; set for sparse-signal sweeps"),
-        Key("r", "int", 2, "allowed code discrepancy (integer steps)"),
-        Key("m_list", "ints", (32, 64, 128, 256, 512, 1024), "comma-separated measurement counts, ascending"),
-        Key("trials", "int", 50, "trials per M"),
-        Key("directions", "int", 512, "random directions per width estimate"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-        Key("eta", "float", 0.1, "failure probability for the predicted overlay, in (0,1)"),
-    ],
+    + _WIDTH_KEYS
+    + [Key("r", "int", 2, "allowed code discrepancy (integer steps)")],
     "bias": _common_keys("bias.csv")
     + [
         Key("n", "int", 8, "signal dimension"),
@@ -271,66 +266,23 @@ def _cmd_reconstruct(opts: dict) -> int:
     return 0
 
 
-def _sweep_config(opts: dict, mode: str) -> ExperimentConfig:
-    if mode in ("grfcq", "qcs") and opts.get("k") is not None:
+# sweep subcommand -> (campaign, record mode); decay records "qcs" when --k is set
+_SWEEPS = {
+    "decay": (decay_sweep, "grfcq"),
+    "relaxed": (decay_sweep, "relaxed"),
+    "bias": (bias_experiment, "bias"),
+    "noise": (noise_power_check, "noise"),
+}
+
+
+def _cmd_sweep(name: str, opts: dict) -> int:
+    campaign, mode = _SWEEPS[name]
+    if mode == "grfcq" and opts["k"] is not None:
         mode = "qcs"
-    return ExperimentConfig(
-        mode=mode,
-        n=opts["n"],
-        k=opts.get("k"),
-        r=opts.get("r", 0),
-        m_list=opts["m_list"],
-        trials=opts["trials"],
-        directions=opts.get("directions", 512),
-        delta=opts["delta"],
-        eta=opts.get("eta", 0.1),
-        lam=opts.get("lam", 0.25),
-        seed=opts["seed"],
-        out=opts["out"],
-    )
-
-
-def _cmd_decay(opts: dict) -> int:
-    cfg = _sweep_config(opts, "grfcq")
-    _note(f"decay sweep: mode={cfg.mode} n={cfg.n} k={cfg.k} M={list(cfg.m_list)} trials={cfg.trials}")
-    result = decay_sweep(cfg, threads=opts["threads"])
-    write_records(opts["out"], result.records)
-    _note(f"records written to {opts['out']}")
-    print(json.dumps(result.summary, indent=2))
-    return 0
-
-
-def _cmd_relaxed(opts: dict) -> int:
-    cfg = _sweep_config(opts, "relaxed")
-    _note(f"relaxed sweep: n={cfg.n} r={cfg.r} M={list(cfg.m_list)} trials={cfg.trials}")
-    result = decay_sweep(cfg, threads=opts["threads"])
-    write_records(opts["out"], result.records)
-    _note(f"records written to {opts['out']}")
-    print(json.dumps(result.summary, indent=2))
-    return 0
-
-
-def _cmd_bias(opts: dict) -> int:
-    cfg = _sweep_config(opts, "bias")
-    _note(f"bias experiment: n={cfg.n} lam={cfg.lam} M={list(cfg.m_list)} trials={cfg.trials}")
-    result = bias_experiment(cfg, threads=opts["threads"])
-    write_records(opts["out"], result.records)
-    _note(f"records written to {opts['out']}")
-    print(json.dumps(result.summary, indent=2))
-    return 0
-
-
-def _cmd_noise(opts: dict) -> int:
-    cfg = ExperimentConfig(
-        mode="noise",
-        n=opts["n"],
-        m_list=opts["m_list"],
-        trials=opts["trials"],
-        delta=opts["delta"],
-        seed=opts["seed"],
-    )
-    _note(f"noise power check: n={cfg.n} M={list(cfg.m_list)} trials={cfg.trials}")
-    result = noise_power_check(cfg, threads=opts["threads"])
+    settable = {f.name for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(mode=mode, **{key: value for key, value in opts.items() if key in settable})
+    _note(f"{name}: {cfg}")
+    result = campaign(cfg, threads=opts["threads"])
     write_records(opts["out"], result.records)
     _note(f"records written to {opts['out']}")
     print(json.dumps(result.summary, indent=2))
@@ -409,12 +361,9 @@ def _cmd_check(opts: dict, tier_name: str) -> int:
 _HANDLERS = {
     "sense": _cmd_sense,
     "reconstruct": _cmd_reconstruct,
-    "decay": _cmd_decay,
-    "relaxed": _cmd_relaxed,
-    "bias": _cmd_bias,
     "buffon": _cmd_buffon,
     "bounds": _cmd_bounds,
-    "noise": _cmd_noise,
+    **{name: partial(_cmd_sweep, name) for name in _SWEEPS},
 }
 
 

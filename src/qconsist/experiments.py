@@ -1,11 +1,11 @@
-"""Monte Carlo campaigns: decay sweeps, relaxed sweeps, bias floor, proximity
-predicate scans, noise power checks, and log-log fitting.
+"""Monte Carlo campaigns: decay sweeps (strict and relaxed), bias floor,
+proximity predicate scans, noise power checks, and log-log fitting.
 
-Every experiment is replayable: per-task substreams are keyed by the
-global trial index under the master seed, so identical configs produce
-identical records (and CSV bytes) regardless of thread count.  Wall-clock
-columns are the single exception and are excluded from the determinism
-contract.
+Every campaign is one task per (M, trial) run by a single runner: per-task
+substreams are keyed by the global trial index under the master seed, so
+identical configs produce identical records (and CSV bytes) regardless of
+thread count.  Wall-clock columns are the single exception and are
+excluded from the determinism contract.
 
 CSV schema (header exactly):
     mode,N,K,M,r,trial,seed,value,baseline,wall_ms
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,11 @@ __all__ = [
     "ExperimentConfig",
     "RunRecord",
     "DecayFit",
-    "SweepResult",
-    "BiasResult",
-    "ScanResult",
-    "NoiseResult",
+    "CampaignResult",
     "FitError",
     "CSV_HEADER",
     "fit_loglog",
     "decay_sweep",
-    "relaxed_sweep",
     "bias_experiment",
     "proximity_violation_scan",
     "noise_power_check",
@@ -72,12 +68,10 @@ class ExperimentConfig:
     directions: int = 512
     delta: float = 1.0
     eta: float = 0.1
-    rho: float | None = None
     lam: float = 0.25
     eps0: float = 0.5
     signals: int = 200
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -132,34 +126,22 @@ class DecayFit:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class CampaignResult:
+    """Records and JSON summary of one campaign.
+
+    Width sweeps also carry their log-log fits; `per_m`, `m`,
+    `violation_rate` and `threshold` read the summary entries of that name.
+    """
+
     records: list[RunRecord]
-    fit: DecayFit | None
-    baseline_fit: DecayFit | None
     summary: dict
+    fit: DecayFit | None = None
+    baseline_fit: DecayFit | None = None
 
-
-@dataclass(frozen=True)
-class BiasResult:
-    records: list[RunRecord]
-    per_m: list[dict]
-    summary: dict
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    records: list[RunRecord]
-    m: int
-    violation_rate: float
-    threshold: float
-    summary: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class NoiseResult:
-    records: list[RunRecord]
-    per_m: list[dict]
-    summary: dict
+    per_m = property(lambda self: self.summary["per_m"])
+    m = property(lambda self: self.summary["m"])
+    violation_rate = property(lambda self: self.summary["violation_rate"])
+    threshold = property(lambda self: self.summary["threshold"])
 
 
 def fit_loglog(points) -> DecayFit:
@@ -193,51 +175,55 @@ def _task_seed(master: int, global_index: int) -> tuple[int, int, int]:
     return seed_t, derive_stream(seed_t, 0), derive_stream(seed_t, 1)
 
 
-def _width_task(cfg: ExperimentConfig, model: SignalModel, mi: int, m: int, trial: int) -> RunRecord:
-    start = time.perf_counter()
-    seed_t, ens_seed, sig_seed = _task_seed(cfg.seed, mi * cfg.trials + trial)
-    spec = QuantizerSpec(cfg.delta)
-    ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
-    stream = Stream(sig_seed)
-    signal = sample_signal(model, stream)
-    obs = sense(ensemble, signal)
-    cell = build_cell(ensemble, obs.codes, ball_radius=1.0, support=signal.support)
-    est = estimate_width(cell, signal.x, cfg.directions, stream, r=cfg.r)
-    baseline = float("nan")
-    if m >= cfg.n:
-        baseline = float(np.linalg.norm(signal.x - linear_baseline(ensemble, obs.codes)))
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return RunRecord(
-        mode=cfg.mode,
-        n=cfg.n,
-        k=cfg.k or 0,
-        m=m,
-        r=cfg.r,
-        trial=trial,
-        seed=seed_t,
-        value=est.value,
-        baseline=baseline,
-        wall_ms=wall_ms,
-    )
+def _run(cfg: ExperimentConfig, label: tuple[str, int, int], measure, threads: int, row=None, m_list=None):
+    """The campaign runner: one timed task per (M, trial), records sorted by
+    (M, trial), and one summary row per M.
+
+    Task (mi, m, trial) of m_list (default cfg.m_list) x range(cfg.trials)
+    draws its seeds from global index mi*trials + trial;
+    `measure(m, ens_seed, sig_seed)` returns the record's (value, baseline)
+    and `label` its (mode, k, r).  `row(m, records_at_m)` builds the per-M
+    summary rows, in m_list order.  Returns (records, rows).
+    """
+    mode, k, r = label
+    m_list = cfg.m_list if m_list is None else m_list
+
+    def task(mi: int, m: int, trial: int) -> RunRecord:
+        start = time.perf_counter()
+        seed_t, ens_seed, sig_seed = _task_seed(cfg.seed, mi * cfg.trials + trial)
+        value, baseline = measure(m, ens_seed, sig_seed)
+        wall_ms = (time.perf_counter() - start) * 1e3
+        return RunRecord(mode, cfg.n, k, m, r, trial, seed_t, value, baseline, wall_ms)
+
+    tasks = [(mi, m, trial) for mi, m in enumerate(m_list) for trial in range(cfg.trials)]
+    records = _map_tasks(task, tasks, threads)
+    records.sort(key=lambda rec: (rec.m, rec.trial))
+    if row is None:
+        return records, []
+    groups = {m: [rec for rec in records if rec.m == m] for m in m_list}
+    return records, [row(m, groups[m]) for m in m_list]
 
 
-def _medians_per_m(records: list[RunRecord], attr: str) -> list[tuple[int, float]]:
-    out = []
-    for m in sorted({rec.m for rec in records}):
-        vals = np.asarray([getattr(rec, attr) for rec in records if rec.m == m])
-        vals = vals[np.isfinite(vals)]
-        if vals.size:
-            out.append((m, float(np.median(vals))))
-    return out
+def _column(records: list[RunRecord], attr: str) -> np.ndarray:
+    return np.asarray([getattr(rec, attr) for rec in records])
 
 
-def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
+def _try_fit(medians: dict) -> DecayFit | None:
+    try:
+        return fit_loglog(list(medians.items()))
+    except FitError:
+        return None
+
+
+def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     """Width-vs-M sweep with the linear baseline alongside.
 
     Mode "grfcq" samples unit-ball signals; "qcs" samples sparse signals and
-    measures widths inside the true support subspace.  Fits the log-log
-    slope of per-M median widths and overlays the saturated-proximity
-    prediction where M is large enough for it.
+    measures widths inside the true support subspace; "relaxed" measures
+    widths of the cell relaxed to code discrepancy cfg.r (matched seeds keep
+    per-trial instances identical across r, and r = 0 reproduces the strict
+    widths).  Fits the log-log slope of per-M median widths and overlays the
+    saturated-proximity prediction where M is large enough for it.
     """
     if not cfg.m_list:
         raise ValueError("m_list must not be empty")
@@ -247,44 +233,44 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         raise ValueError("qcs mode requires k")
     if cfg.mode == "grfcq" and cfg.k is not None:
         raise ValueError("grfcq mode samples the full ball; leave k unset")
+    spec = QuantizerSpec(cfg.delta)
     # k set => sparse signals with support-restricted widths (any mode label)
     model = SignalModel(cfg.n, cfg.k)
-    tasks = [
-        (cfg, model, mi, m, trial)
-        for mi, m in enumerate(cfg.m_list)
-        for trial in range(cfg.trials)
-    ]
-    records = _map_tasks(_width_task, tasks, threads)
-    records.sort(key=lambda rec: (rec.m, rec.trial))
 
-    def try_fit(points):
-        try:
-            return fit_loglog(points)
-        except FitError:
-            return None
+    def measure(m, ens_seed, sig_seed):
+        ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
+        stream = Stream(sig_seed)
+        signal = sample_signal(model, stream)
+        obs = sense(ensemble, signal)
+        cell = build_cell(ensemble, obs.codes, ball_radius=1.0, support=signal.support)
+        width = estimate_width(cell, signal.x, cfg.directions, stream, r=cfg.r).value
+        baseline = float("nan")
+        if m >= cfg.n:
+            baseline = float(np.linalg.norm(signal.x - linear_baseline(ensemble, obs.codes)))
+        return width, baseline
 
-    fit = try_fit(_medians_per_m(records, "value"))
-    baseline_fit = try_fit(_medians_per_m(records, "baseline"))
-
-    per_m = []
-    for m in cfg.m_list:
-        vals = np.asarray([rec.value for rec in records if rec.m == m])
-        base = np.asarray([rec.baseline for rec in records if rec.m == m])
+    def row(m, recs):
+        base = _column(recs, "baseline")
         base = base[np.isfinite(base)]
         try:
             eps_kwargs = {"k": cfg.k, "mode": "qcs"} if cfg.mode == "qcs" else {}
             predicted = predicted_eps(m, cfg.eta, cfg.delta, cfg.n, **eps_kwargs)
         except ValueError:
             predicted = None
-        per_m.append(
-            {
-                "m": m,
-                "median_width": float(np.median(vals)),
-                "max_width": float(np.max(vals)),
-                "baseline_median": float(np.median(base)) if base.size else None,
-                "predicted_eps": predicted,
-            }
-        )
+        widths = _column(recs, "value")
+        return {
+            "m": m,
+            "median_width": float(np.median(widths)),
+            "max_width": float(np.max(widths)),
+            "baseline_median": float(np.median(base)) if base.size else None,
+            "predicted_eps": predicted,
+        }
+
+    records, per_m = _run(cfg, (cfg.mode, cfg.k or 0, cfg.r), measure, threads, row)
+    fit = _try_fit({row["m"]: row["median_width"] for row in per_m})
+    baseline_fit = _try_fit(
+        {row["m"]: row["baseline_median"] for row in per_m if row["baseline_median"] is not None}
+    )
     summary = {
         "mode": cfg.mode,
         "n": cfg.n,
@@ -300,50 +286,10 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     }
     if fit is None:
         summary["fit_note"] = "fit undefined: needs >= 3 distinct M values and > 1 trial"
-    return SweepResult(records=records, fit=fit, baseline_fit=baseline_fit, summary=summary)
+    return CampaignResult(records, summary, fit, baseline_fit)
 
 
-def relaxed_sweep(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    """Decay sweep with widths measured at relaxation level cfg.r.
-
-    With r = 0 the records are identical to the strict sweep under the
-    same seed; matched seeds keep per-trial instances identical across r.
-    """
-    if cfg.mode != "relaxed":
-        cfg = ExperimentConfig(**{**vars(cfg), "mode": "relaxed"})
-    return decay_sweep(cfg, threads)
-
-
-def _bias_task(cfg: ExperimentConfig, mi: int, m: int, trial: int) -> RunRecord:
-    start = time.perf_counter()
-    seed_t, ens_seed, sig_seed = _task_seed(cfg.seed, mi * cfg.trials + trial)
-    spec = QuantizerSpec(cfg.delta)
-    k = cfg.k or 2
-    ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
-    stream = Stream(sig_seed)
-    raw = sample_signal(SignalModel.sparse_ball(cfg.n, k), stream)
-    # Shrink so the offset vector stays inside the unit ball.
-    x = raw.x * (1.0 - abs(cfg.lam) * cfg.delta)
-    pivot = int(raw.support[0])
-    x_star = x.copy()
-    x_star[pivot] += cfg.lam * cfg.delta
-    disc = l1_discrepancy(sense(ensemble, x), sense(ensemble, x_star))
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return RunRecord(
-        mode="bias",
-        n=cfg.n,
-        k=k,
-        m=m,
-        r=0,
-        trial=trial,
-        seed=seed_t,
-        value=disc / m,
-        baseline=float(np.linalg.norm(x - x_star)),
-        wall_ms=wall_ms,
-    )
-
-
-def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> BiasResult:
+def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     """Constant-offset discrepancy floor: x* = x + lam*delta*e_i on the support.
 
     Per M reports the mean and stderr of discrepancy/M and the implied
@@ -356,25 +302,32 @@ def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> BiasResult:
         raise ValueError(
             f"|lam|*delta = {abs(cfg.lam) * cfg.delta} >= 1 pushes the offset signal out of the unit ball"
         )
-    tasks = [
-        (cfg, mi, m, trial) for mi, m in enumerate(cfg.m_list) for trial in range(cfg.trials)
-    ]
-    records = _map_tasks(_bias_task, tasks, threads)
-    records.sort(key=lambda rec: (rec.m, rec.trial))
-    per_m = []
-    for m in cfg.m_list:
-        vals = np.asarray([rec.value for rec in records if rec.m == m])
+    spec = QuantizerSpec(cfg.delta)
+    k = cfg.k or 2
+    model = SignalModel.sparse_ball(cfg.n, k)
+
+    def measure(m, ens_seed, sig_seed):
+        ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
+        raw = sample_signal(model, Stream(sig_seed))
+        # Shrink so the offset vector stays inside the unit ball.
+        x = raw.x * (1.0 - abs(cfg.lam) * cfg.delta)
+        x_star = x.copy()
+        x_star[int(raw.support[0])] += cfg.lam * cfg.delta
+        disc = l1_discrepancy(sense(ensemble, x), sense(ensemble, x_star))
+        return disc / m, float(np.linalg.norm(x - x_star))
+
+    def row(m, recs):
+        vals = _column(recs, "value")
         mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
-        per_m.append(
-            {
-                "m": m,
-                "mean_discrepancy_per_m": mean,
-                "stderr": stderr,
-                "c": mean / abs(cfg.lam) if cfg.lam != 0.0 else None,
-                "distance": abs(cfg.lam) * cfg.delta,
-            }
-        )
+        return {
+            "m": m,
+            "mean_discrepancy_per_m": mean,
+            "stderr": float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan"),
+            "c": mean / abs(cfg.lam) if cfg.lam != 0.0 else None,
+            "distance": abs(cfg.lam) * cfg.delta,
+        }
+
+    records, per_m = _run(cfg, ("bias", k, 0), measure, threads, row)
     cs = [row["c"] for row in per_m if row["c"] is not None]
     stability = None
     if len(cs) >= 2 and np.mean(cs) > 0.0:
@@ -382,7 +335,7 @@ def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> BiasResult:
     summary = {
         "mode": "bias",
         "n": cfg.n,
-        "k": cfg.k or 2,
+        "k": k,
         "lam": cfg.lam,
         "delta": cfg.delta,
         "trials": cfg.trials,
@@ -390,45 +343,29 @@ def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> BiasResult:
         "per_m": per_m,
         "c_stability": stability,
     }
-    return BiasResult(records=records, per_m=per_m, summary=summary)
+    return CampaignResult(records, summary)
 
 
-def proximity_violation_scan(cfg: ExperimentConfig, threads: int = 1) -> ScanResult:
+def proximity_violation_scan(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     """Fraction of ensemble draws where the searched worst case exceeds eps0.
 
-    M is set from the unit-ball measurement formula at (eps0, eta); each
-    draw searches cfg.signals sampled signals with cfg.directions random
-    directions each.  The searcher is a lower-bound method, so the reported
-    rate conservatively lower-bounds the true failure probability.
+    M is set from the unit-ball measurement formula at (eps0, eta); each of
+    the cfg.trials draws is one task at that single M and searches
+    cfg.signals sampled signals with cfg.directions random directions each.
+    The searcher is a lower-bound method, so the reported rate
+    conservatively lower-bounds the true failure probability.
     """
     m = min_measurements_grfcq(cfg.eps0, cfg.eta, cfg.delta, cfg.n)
     spec = QuantizerSpec(cfg.delta)
     model = SignalModel.unit_ball(cfg.n)
 
-    def task(draw: int) -> RunRecord:
-        start = time.perf_counter()
-        seed_t, ens_seed, scan_seed = _task_seed(cfg.seed, draw)
-        ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
-        result = empirical_worst_case(ensemble, model, cfg.signals, cfg.directions, scan_seed)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        return RunRecord(
-            mode="scan",
-            n=cfg.n,
-            k=0,
-            m=m,
-            r=0,
-            trial=draw,
-            seed=seed_t,
-            value=result.max_width,
-            baseline=float("nan"),
-            wall_ms=wall_ms,
-        )
+    def measure(m_draw, ens_seed, scan_seed):
+        ensemble = gen_ensemble(m_draw, cfg.n, spec, ens_seed)
+        worst = empirical_worst_case(ensemble, model, cfg.signals, cfg.directions, scan_seed)
+        return worst.max_width, float("nan")
 
-    records = _map_tasks(task, [(d,) for d in range(cfg.trials)], threads)
-    records.sort(key=lambda rec: rec.trial)
-    violations = sum(1 for rec in records if rec.value > cfg.eps0)
-    rate = violations / cfg.trials
-    threshold = cfg.eta + 2.0 * float(np.sqrt(cfg.eta * (1.0 - cfg.eta) / cfg.trials))
+    records, _ = _run(cfg, ("scan", 0, 0), measure, threads, m_list=(m,))
+    rate = sum(1 for rec in records if rec.value > cfg.eps0) / cfg.trials
     summary = {
         "mode": "scan",
         "n": cfg.n,
@@ -440,13 +377,13 @@ def proximity_violation_scan(cfg: ExperimentConfig, threads: int = 1) -> ScanRes
         "signals": cfg.signals,
         "directions": cfg.directions,
         "violation_rate": rate,
-        "threshold": threshold,
+        "threshold": cfg.eta + 2.0 * float(np.sqrt(cfg.eta * (1.0 - cfg.eta) / cfg.trials)),
         "seed": cfg.seed,
     }
-    return ScanResult(records=records, m=m, violation_rate=rate, threshold=threshold, summary=summary)
+    return CampaignResult(records, summary)
 
 
-def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> NoiseResult:
+def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     """Quantization-noise power against the M*delta^2/12 law.
 
     Per trial senses a fresh unit-ball signal and reports the normalized
@@ -458,44 +395,23 @@ def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> NoiseResult:
     spec = QuantizerSpec(cfg.delta)
     model = SignalModel.unit_ball(cfg.n)
 
-    def task(mi: int, m: int, trial: int) -> RunRecord:
-        start = time.perf_counter()
-        seed_t, ens_seed, sig_seed = _task_seed(cfg.seed, mi * cfg.trials + trial)
+    def measure(m, ens_seed, sig_seed):
         ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
-        stream = Stream(sig_seed)
-        signal = sample_signal(model, stream)
+        signal = sample_signal(model, Stream(sig_seed))
         err = quantization_error(ensemble.phi @ signal.x, ensemble.xi, spec)
         power = float(err @ err)
         expected = m * cfg.delta**2 / 12.0
         zeta = (power - expected) / (cfg.delta**2 * np.sqrt(m) / 12.0)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        return RunRecord(
-            mode="noise",
-            n=cfg.n,
-            k=0,
-            m=m,
-            r=0,
-            trial=trial,
-            seed=seed_t,
-            value=power / expected,
-            baseline=float(zeta),
-            wall_ms=wall_ms,
-        )
+        return power / expected, float(zeta)
 
-    tasks = [(mi, m, t) for mi, m in enumerate(cfg.m_list) for t in range(cfg.trials)]
-    records = _map_tasks(task, tasks, threads)
-    records.sort(key=lambda rec: (rec.m, rec.trial))
-    per_m = []
-    for m in cfg.m_list:
-        ratios = np.asarray([rec.value for rec in records if rec.m == m])
-        zetas = np.asarray([rec.baseline for rec in records if rec.m == m])
-        per_m.append(
-            {
-                "m": m,
-                "mean_ratio": float(ratios.mean()),
-                "p99_zeta": float(np.percentile(zetas, 99.0)),
-            }
-        )
+    def row(m, recs):
+        return {
+            "m": m,
+            "mean_ratio": float(_column(recs, "value").mean()),
+            "p99_zeta": float(np.percentile(_column(recs, "baseline"), 99.0)),
+        }
+
+    records, per_m = _run(cfg, ("noise", 0, 0), measure, threads, row)
     summary = {
         "mode": "noise",
         "n": cfg.n,
@@ -504,7 +420,7 @@ def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> NoiseResult:
         "seed": cfg.seed,
         "per_m": per_m,
     }
-    return NoiseResult(records=records, per_m=per_m, summary=summary)
+    return CampaignResult(records, summary)
 
 
 def write_records(path, records: list[RunRecord]) -> None:

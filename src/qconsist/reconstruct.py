@@ -3,9 +3,9 @@
 The consistent solvers run cyclic projections onto the slab constraints of
 a consistency cell (with a small interior margin, so solutions verify
 strictly inside the half-open cells) followed by projection onto the
-radius-R ball.  A result is flagged consistent only when re-encoding the
-candidate reproduces the target integer codes and the ball constraint
-holds; residual tolerances alone never decide consistency.
+radius-R ball.  A result is flagged consistent only when the cell's
+integer-verified membership test (cellgeom.verified_member) accepts it;
+residual tolerances alone never decide consistency.
 
 The linear baseline is the plain least-squares synthesis from the decoded
 observation.  It deliberately enforces no consistency and serves as the
@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .quantizer import _encode_values
+from .cellgeom import _BALL_TOL, ConsistencyCell, build_cell, verified_member
 from .sensing import SensingEnsemble
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
     "qcs_enumerate",
     "linear_baseline",
 ]
-
-# Norm slack when verifying the ball constraint of a candidate; integer
-# codes are always compared exactly.
-_BALL_TOL = 1e-9
 
 
 class EnumerationCapError(RuntimeError):
@@ -61,81 +57,50 @@ class ReconstructionResult:
     residual: float
 
 
-def _slab_bounds(ensemble: SensingEnsemble, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.shape != (ensemble.m,):
-        raise ValueError(f"codes must have shape ({ensemble.m},), got {codes.shape}")
-    lo = ensemble.spec.delta * codes.astype(np.float64) - ensemble.xi
-    return lo, lo + ensemble.spec.delta
-
-
 def _pocs(
-    ensemble: SensingEnsemble,
-    codes: np.ndarray,
-    support: np.ndarray | None,
-    ball_radius: float,
+    cell: ConsistencyCell,
     tol: float | None,
     max_iter: int,
     x0: np.ndarray | None,
 ) -> ReconstructionResult:
-    delta = ensemble.spec.delta
+    delta = cell.delta
     margin = 1e-9 * delta if tol is None else float(tol)
     if not 0.0 < margin < delta / 2.0:
         raise ValueError(f"tolerance must lie in (0, delta/2), got {margin}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    lo, hi = _slab_bounds(ensemble, codes)
-    codes = np.asarray(codes, dtype=np.int64)
-
-    if support is None:
-        phi = ensemble.phi
-        dim = ensemble.n
-    else:
-        support = np.unique(np.asarray(support, dtype=np.intp))
-        if support.size == 0 or support[0] < 0 or support[-1] >= ensemble.n:
-            raise ValueError("support must be a nonempty subset of the coordinate indices")
-        # contiguous copy: keeps BLAS summation order identical to the
-        # unrestricted path, so support=[n] reproduces pocs_consistent bitwise
-        phi = np.ascontiguousarray(ensemble.phi[:, support])
-        dim = support.shape[0]
+    ball_radius = cell.ball_radius
+    # contiguous copy: keeps BLAS summation order identical to the
+    # unrestricted path, so support=[n] reproduces pocs_consistent bitwise
+    phi = np.ascontiguousarray(cell.active_phi())
     row_norm2 = np.einsum("ij,ij->i", phi, phi)
 
     if x0 is None:
-        u = np.zeros(dim)
+        u = np.zeros(cell.active_dim())
     else:
         x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (ensemble.n,):
-            raise ValueError(f"start point has shape {x0.shape}, expected ({ensemble.n},)")
-        u = x0.copy() if support is None else x0[support].copy()
+        if x0.shape != (cell.dim,):
+            raise ValueError(f"start point has shape {x0.shape}, expected ({cell.dim},)")
+        u = cell.restrict(x0).copy()
 
     def verified(v: np.ndarray) -> bool:
-        if float(np.linalg.norm(v)) > ball_radius + _BALL_TOL:
-            return False
-        got = _encode_values(phi @ v + ensemble.xi, delta)
-        return bool(np.array_equal(got, codes))
+        return verified_member(cell, v, ball_tol=_BALL_TOL, phi=phi)
 
     def max_violation(v: np.ndarray) -> float:
         y = phi @ v
-        slab = max(0.0, float(np.max(lo - y, initial=0.0)), float(np.max(y - hi, initial=0.0)))
+        slab = max(0.0, float(np.max(cell.lo - y, initial=0.0)), float(np.max(y - cell.hi, initial=0.0)))
         return max(slab, float(np.linalg.norm(v)) - ball_radius, 0.0)
 
-    def embed(v: np.ndarray) -> np.ndarray:
-        if support is None:
-            return v
-        full = np.zeros(ensemble.n)
-        full[support] = v
-        return full
-
     if verified(u):
-        return ReconstructionResult(x_star=embed(u), iterations=0, consistent=True, residual=max_violation(u))
+        return ReconstructionResult(x_star=cell.embed(u), iterations=0, consistent=True, residual=max_violation(u))
 
     iterations = 0
     consistent = False
-    target_lo = lo + margin
-    target_hi = hi - margin
+    target_lo = cell.lo + margin
+    target_hi = cell.hi - margin
     for iterations in range(1, max_iter + 1):
         changed = False
-        for j in range(ensemble.m):
+        for j in range(cell.m):
             y = float(phi[j] @ u)
             c = min(max(y, target_lo[j]), target_hi[j])
             if y != c:
@@ -153,7 +118,7 @@ def _pocs(
         if not changed:
             break  # stuck: every reachable constraint holds yet codes disagree
     return ReconstructionResult(
-        x_star=embed(u), iterations=iterations, consistent=consistent, residual=max_violation(u)
+        x_star=cell.embed(u), iterations=iterations, consistent=consistent, residual=max_violation(u)
     )
 
 
@@ -172,7 +137,7 @@ def pocs_consistent(
     `max_iter` cycles pass.  `iterations` counts full cycles; a start point
     that already verifies returns unchanged with iterations=0.
     """
-    return _pocs(ensemble, codes, None, ball_radius, tol, max_iter, x0)
+    return _pocs(build_cell(ensemble, codes, ball_radius), tol, max_iter, x0)
 
 
 def pocs_on_support(
@@ -186,7 +151,7 @@ def pocs_on_support(
 ) -> ReconstructionResult:
     """Same iteration restricted to coordinates in `support`; output is
     supported there."""
-    return _pocs(ensemble, codes, np.asarray(support), ball_radius, tol, max_iter, x0)
+    return _pocs(build_cell(ensemble, codes, ball_radius, support), tol, max_iter, x0)
 
 
 def qcs_enumerate(

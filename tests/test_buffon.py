@@ -1,9 +1,15 @@
 """Crossing-event logic, kappa bounds, quadrature vs closed forms and MC."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qconsist
 
 from qconsist.buffon import (
     RADIUS_WEIGHT,
@@ -226,3 +232,12 @@ def test_bound_chain_holds_at_moderate_alpha():
     assert report.p_hat <= report.mixture + 3.0 * report.stderr
     assert report.mixture <= report.jensen_bound + 1e-9
     assert report.jensen_bound <= report.bound + 1e-12
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature needs scipy.integrate, and it dominates import time
+    src = str(Path(qconsist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qconsist; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -239,6 +239,20 @@ def test_width_witness_verifies():
     assert relaxed.value >= est.value
 
 
+def test_width_witness_pulled_back_off_a_code_boundary():
+    # The 1e-12 relative pullback of this 0.0039 exit leaves the first
+    # witness exactly on a code boundary (row 145 reads 2.0 against code 1);
+    # the estimate must pull it back further instead of raising.
+    ens = gen_ensemble(1024, 8, UNIT, 16633635121299751535)
+    stream = Stream(9731549754719636562)
+    sig = sample_signal(SignalModel(8, None), stream)
+    cell = build_cell(ens, sense(ens, sig).codes, 1.0, sig.support)
+    est = estimate_width(cell, sig.x, 512, stream)
+    assert cell_contains(cell, est.witness, ball_tol=1e-9)
+    assert abs(np.linalg.norm(est.witness - sig.x) - est.value) < 1e-15
+    assert 0.0038 < est.value < 0.0040
+
+
 def test_width_rejects_outside_center():
     ens = gen_ensemble(8, 2, UNIT, 16)
     sig = sample_signal(SignalModel.unit_ball(2), Stream(17))

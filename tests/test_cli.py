@@ -6,6 +6,7 @@ import pytest
 
 from qconsist.bounds import min_measurements_grfcq
 from qconsist.cli import main
+from qconsist.experiments import CSV_HEADER
 from qconsist.sensing import load_ensemble
 
 
@@ -159,6 +160,33 @@ def test_noise_subcommand(tmp_path, capsys):
     assert out_csv.exists()
     summary = json.loads(out)
     assert 0.9 < summary["per_m"][0]["mean_ratio"] < 1.1
+
+
+@pytest.mark.parametrize(
+    "command, extra, mode",
+    [
+        ("decay", ["--directions", "8"], "grfcq"),
+        ("decay", ["--directions", "8", "--k", "2"], "qcs"),
+        ("relaxed", ["--directions", "8", "--r", "1"], "relaxed"),
+        ("bias", [], "bias"),
+        ("noise", [], "noise"),
+    ],
+)
+def test_sweep_subcommands_write_records_and_summary(tmp_path, capsys, command, extra, mode):
+    out_csv = tmp_path / "out.csv"
+    m_list, trials = (16, 32), 2
+    code, out, err = run_cli(
+        capsys, command, "--n", "4", "--m-list", ",".join(map(str, m_list)), "--trials", str(trials),
+        "--seed", "3", "--threads", "1", "--out", str(out_csv), *extra,
+    )
+    assert code == 0
+    lines = out_csv.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = lines[1:]
+    assert len(rows) == len(m_list) * trials
+    assert all(row.split(",")[0] == mode for row in rows)
+    assert "per_m" in json.loads(out)
+    assert "records written" in err
 
 
 def test_check_quick_passes_and_writes_artifacts(tmp_path, capsys):

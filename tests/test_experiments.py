@@ -13,7 +13,6 @@ from qconsist.experiments import (
     decay_sweep,
     fit_loglog,
     noise_power_check,
-    relaxed_sweep,
     proximity_violation_scan,
     write_records,
 )
@@ -99,13 +98,13 @@ def test_decay_sweep_deterministic_across_threads():
 
 def test_relaxed_sweep_r_zero_matches_decay():
     plain = decay_sweep(small_cfg())
-    relaxed = relaxed_sweep(small_cfg(r=0))
+    relaxed = decay_sweep(small_cfg(mode="relaxed", r=0))
     for a, b in zip(plain.records, relaxed.records):
         assert a.value == b.value and a.seed == b.seed and a.baseline == b.baseline
 
 
 def test_relaxed_sweep_monotone_and_bounded_ratio():
-    results = {r: relaxed_sweep(small_cfg(mode="relaxed", r=r, trials=8)) for r in (0, 2, 4)}
+    results = {r: decay_sweep(small_cfg(mode="relaxed", r=r, trials=8)) for r in (0, 2, 4)}
     for r_small, r_big in ((0, 2), (2, 4)):
         for a, b in zip(results[r_small].records, results[r_big].records):
             assert b.value >= a.value * (1.0 - 1e-12)
