@@ -14,6 +14,7 @@ import math
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -114,33 +115,46 @@ GRFCQ_M_LIST = (32, 64, 128, 256, 512, 1024)
 QCS_M_LIST = (64, 128, 256, 512, 1024, 2048)
 BIAS_M_LIST = (1_000, 10_000)
 
-# Wall-clock budgets (seconds) stated with the criteria; enforced at the
-# full tier.  None = shares another criterion's run.
-RUNTIME_BUDGETS = {
-    1: 1.0,
-    2: 10.0,
-    3: 5.0,
-    4: 120.0,
-    5: 1.0,
-    6: 600.0,
-    7: 600.0,
-    8: None,
-    9: 600.0,
-    10: 900.0,
-    11: 120.0,
-    12: 1.0,
-    13: None,
-}
+
+@dataclass
+class _Run:
+    """What every check receives: one `run_all` call's tier, seed, threads and
+    artifact directory, plus the sweep criteria 6 and 8 share, cached per
+    call so nothing is shared between two `run_all` calls."""
+
+    tier: Tier
+    master: int
+    threads: int
+    out: Path | None
+
+    def seed(self, number: int) -> int:
+        return derive_stream(self.master, 1000 + number)
+
+    def keep(self, csv_name: str, records) -> None:
+        """Write records as out/csv_name when an output directory was given."""
+        if self.out is not None:
+            write_records(self.out / csv_name, records)
+
+    def width_sweep(self, number: int, mode: str, n: int, m_list, k: int | None = None, r: int = 0):
+        """The tier's width sweep (decay trials and directions) seeded for criterion `number`."""
+        cfg = ExperimentConfig(
+            mode=mode, n=n, k=k, r=r, m_list=m_list, trials=self.tier.decay_trials,
+            directions=self.tier.decay_directions, delta=1.0, eta=0.1, seed=self.seed(number),
+        )
+        return decay_sweep(cfg, self.threads)
+
+    @cached_property
+    def grfcq_sweep(self):
+        """The N=8 unit-ball sweep shared by criteria 6 and 8."""
+        sweep = self.width_sweep(6, "grfcq", 8, GRFCQ_M_LIST)
+        self.keep("grfcq_decay.csv", sweep.records)
+        return sweep
 
 
-def _seed_for(master: int, number: int) -> int:
-    return derive_stream(master, 1000 + number)
-
-
-def criterion_quantizer_laws(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_quantizer_laws(run: _Run) -> tuple[bool, str]:
     """C1: exact shift covariance and monotonicity of the encoder."""
-    n = tier.quantizer_samples
-    stream = Stream(_seed_for(master, 1))
+    n = run.tier.quantizer_samples
+    stream = Stream(run.seed(1))
     groups = 16
     per = n // groups
     covariance_fails = 0
@@ -158,12 +172,12 @@ def criterion_quantizer_laws(tier: Tier, master: int) -> tuple[bool, str]:
     return ok, f"{n} draws: {covariance_fails} covariance failures, {mono_fails} monotonicity failures"
 
 
-def criterion_error_law(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_error_law(run: _Run) -> tuple[bool, str]:
     """C2: dithered error moments and the M*delta^2/12 noise-power law."""
-    n = tier.error_samples
+    n = run.tier.error_samples
     delta = 1.0
     spec = QuantizerSpec(delta)
-    stream = Stream(_seed_for(master, 2))
+    stream = Stream(run.seed(2))
     y = 3.0 * stream.rng.standard_normal(n)
     xi = uniform(stream, 0.0, delta, n)
     err = quantization_error(y, xi, spec)
@@ -172,8 +186,8 @@ def criterion_error_law(tier: Tier, master: int) -> tuple[bool, str]:
     mean_tol = 3.0 * (delta / math.sqrt(12.0)) / math.sqrt(n)
     var_dev = abs(var / (delta**2 / 12.0) - 1.0)
     cfg = ExperimentConfig(
-        mode="noise", n=8, m_list=(1000,), trials=tier.noise_trials, delta=delta,
-        seed=_seed_for(master, 22),
+        mode="noise", n=8, m_list=(1000,), trials=run.tier.noise_trials, delta=delta,
+        seed=run.seed(22),
     )
     ratio = noise_power_check(cfg).per_m[0]["mean_ratio"]
     ok = abs(mean) < mean_tol and var_dev < 0.01 and 0.99 <= ratio <= 1.01
@@ -183,16 +197,16 @@ def criterion_error_law(tier: Tier, master: int) -> tuple[bool, str]:
     )
 
 
-def criterion_classic_buffon(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_classic_buffon(run: _Run) -> tuple[bool, str]:
     """C3: radius-0 dumbbell at unit projector norm vs the 1 - 1/pi closed form."""
     cfg = DumbbellConfig(n=2, p=np.zeros(2), q=np.array([0.5, 0.0]), radius=0.0, delta=1.0)
-    est = estimate_p1_conditional(cfg, tier.buffon_throws, Stream(_seed_for(master, 3)))
+    est = estimate_p1_conditional(cfg, run.tier.buffon_throws, Stream(run.seed(3)))
     target = 1.0 - 1.0 / math.pi
     dev = abs(est.p_hat - target)
     return dev < 0.005, f"p_hat={est.p_hat:.5f} vs {target:.5f}, |diff|={dev:.5f} (tol 0.005)"
 
 
-def criterion_dumbbell_grid(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_dumbbell_grid(run: _Run) -> tuple[bool, str]:
     """C4: Monte Carlo crossing probability under the bound on an (n, alpha) grid."""
     failures = []
     idx = 0
@@ -203,13 +217,13 @@ def criterion_dumbbell_grid(tier: Tier, master: int) -> tuple[bool, str]:
             q = np.zeros(n)
             q[0] = alpha
             cfg = DumbbellConfig(n=n, p=p, q=q, radius=dumbbell_radius(p, q, n), delta=1.0)
-            est = estimate_p1(cfg, tier.grid_throws, substream(_seed_for(master, 4), idx))
+            est = estimate_p1(cfg, run.tier.grid_throws, substream(run.seed(4), idx))
             bound = consistent_pair_bound(alpha, 1)
             if est.p_hat > bound + 3.0 * est.stderr:
                 failures.append(f"(n={n}, alpha={alpha}): {est.p_hat:.4f} > {bound:.4f}")
     chain_fail = []
     for j, (n, alpha) in enumerate(((2, 0.5), (4, 2.0), (8, 4.0))):
-        report = verify_bound_chain(n, alpha, tier.chain_throws, substream(_seed_for(master, 44), j))
+        report = verify_bound_chain(n, alpha, run.tier.chain_throws, substream(run.seed(44), j))
         if not report.ok:
             chain_fail.append(f"(n={n}, alpha={alpha})")
     ok = not failures and not chain_fail
@@ -219,7 +233,7 @@ def criterion_dumbbell_grid(tier: Tier, master: int) -> tuple[bool, str]:
     return ok, detail
 
 
-def criterion_kappa(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_kappa(run: _Run) -> tuple[bool, str]:
     """C5: two-sided kappa_n inequalities for n in 2..200, plus exact anchors."""
     coeff = math.sqrt(2.0 / math.pi)
     bad = []
@@ -238,23 +252,9 @@ def _monotone_medians(per_m: list[dict], key: str, slack: float = 1.05) -> bool:
     return all(b <= a * slack for a, b in zip(meds, meds[1:]))
 
 
-def run_grfcq_sweep(tier: Tier, master: int, threads: int = 1) -> "object":
-    """The shared N=8 unit-ball sweep used by criteria 6 and 8."""
-    cfg = ExperimentConfig(
-        mode="grfcq",
-        n=8,
-        m_list=GRFCQ_M_LIST,
-        trials=tier.decay_trials,
-        directions=tier.decay_directions,
-        delta=1.0,
-        eta=0.1,
-        seed=_seed_for(master, 6),
-    )
-    return decay_sweep(cfg, threads)
-
-
-def criterion_grfcq_decay(sweep) -> tuple[bool, str]:
+def criterion_grfcq_decay(run: _Run) -> tuple[bool, str]:
     """C6: slope window, width-below-baseline at the largest M, shrinking medians."""
+    sweep = run.grfcq_sweep
     lo, hi = SLOPE_WINDOW
     slope = sweep.fit.slope
     last = sweep.summary["per_m"][-1]
@@ -269,35 +269,23 @@ def criterion_grfcq_decay(sweep) -> tuple[bool, str]:
     )
 
 
-def criterion_qcs_decay(tier: Tier, master: int, threads: int = 1):
+def criterion_qcs_decay(run: _Run) -> tuple[bool, str]:
     """C7: sparse-signal decay slope with support-restricted widths."""
-    cfg = ExperimentConfig(
-        mode="qcs",
-        n=32,
-        k=3,
-        m_list=QCS_M_LIST,
-        trials=tier.decay_trials,
-        directions=tier.decay_directions,
-        delta=1.0,
-        eta=0.1,
-        seed=_seed_for(master, 7),
-    )
-    sweep = decay_sweep(cfg, threads)
+    sweep = run.width_sweep(7, "qcs", 32, QCS_M_LIST, k=3)
+    run.keep("qcs_decay.csv", sweep.records)
     lo, hi = SLOPE_WINDOW
     slope = sweep.fit.slope
-    ok = lo <= slope <= hi
-    return sweep, (ok, f"slope={slope:.3f} (window [{lo}, {hi}])")
+    return lo <= slope <= hi, f"slope={slope:.3f} (window [{lo}, {hi}])"
 
 
-def criterion_baseline_contrast(sweep) -> tuple[bool, str]:
+def criterion_baseline_contrast(run: _Run) -> tuple[bool, str]:
     """C8: least-squares baseline decays at the 1/sqrt(M) rate."""
     lo, hi = BASELINE_SLOPE_WINDOW
-    slope = sweep.baseline_fit.slope
-    ok = lo <= slope <= hi
-    return ok, f"baseline slope={slope:.3f} (window [{lo}, {hi}])"
+    slope = run.grfcq_sweep.baseline_fit.slope
+    return lo <= slope <= hi, f"baseline slope={slope:.3f} (window [{lo}, {hi}])"
 
 
-def criterion_scan(tier: Tier, master: int, threads: int = 1):
+def criterion_scan(run: _Run) -> tuple[bool, str]:
     """C9: violation rate of the proximity predicate at the formula M."""
     cfg = ExperimentConfig(
         mode="scan",
@@ -305,35 +293,23 @@ def criterion_scan(tier: Tier, master: int, threads: int = 1):
         eps0=0.8,
         eta=0.1,
         delta=1.0,
-        trials=tier.scan_draws,
-        signals=tier.scan_signals,
-        directions=tier.scan_directions,
-        seed=_seed_for(master, 9),
+        trials=run.tier.scan_draws,
+        signals=run.tier.scan_signals,
+        directions=run.tier.scan_directions,
+        seed=run.seed(9),
     )
-    result = proximity_violation_scan(cfg, threads)
+    result = proximity_violation_scan(cfg, run.threads)
+    run.keep("scan.csv", result.records)
     ok = result.violation_rate <= result.threshold
-    return result, (
-        ok,
-        f"M={result.m}, violation rate={result.violation_rate:.3f} <= {result.threshold:.3f}",
-    )
+    return ok, f"M={result.m}, violation rate={result.violation_rate:.3f} <= {result.threshold:.3f}"
 
 
-def criterion_relaxed(tier: Tier, master: int, threads: int = 1):
+def criterion_relaxed(run: _Run) -> tuple[bool, str]:
     """C10: relaxed widths monotone in r pointwise; slope window for each r."""
     sweeps = {}
     for r in (0, 2, 4):
-        cfg = ExperimentConfig(
-            mode="relaxed",
-            n=8,
-            r=r,
-            m_list=GRFCQ_M_LIST,
-            trials=tier.decay_trials,
-            directions=tier.decay_directions,
-            delta=1.0,
-            eta=0.1,
-            seed=_seed_for(master, 10),
-        )
-        sweeps[r] = decay_sweep(cfg, threads)
+        sweeps[r] = run.width_sweep(10, "relaxed", 8, GRFCQ_M_LIST, r=r)
+        run.keep(f"relaxed_r{r}.csv", sweeps[r].records)
     lo, hi = SLOPE_WINDOW
     slopes = {r: s.fit.slope for r, s in sweeps.items()}
     slope_ok = all(lo <= s <= hi for s in slopes.values())
@@ -350,10 +326,10 @@ def criterion_relaxed(tier: Tier, master: int, threads: int = 1):
         f"slopes r0/r2/r4 = {slopes[0]:.3f}/{slopes[2]:.3f}/{slopes[4]:.3f} "
         f"(window [{lo}, {hi}]), pointwise monotone in r: {monotone}"
     )
-    return sweeps, (ok, detail)
+    return ok, detail
 
 
-def criterion_bias(tier: Tier, master: int, threads: int = 1):
+def criterion_bias(run: _Run) -> tuple[bool, str]:
     """C11: discrepancy/M tracks c*|lam| with M-stable c; distance never decays."""
     cfg = ExperimentConfig(
         mode="bias",
@@ -361,24 +337,26 @@ def criterion_bias(tier: Tier, master: int, threads: int = 1):
         lam=0.25,
         delta=1.0,
         m_list=BIAS_M_LIST,
-        trials=tier.bias_trials,
-        seed=_seed_for(master, 11),
+        trials=run.tier.bias_trials,
+        seed=run.seed(11),
     )
-    result = bias_experiment(cfg, threads)
+    result = bias_experiment(cfg, run.threads)
+    run.keep("bias.csv", result.records)
     cs = [row["c"] for row in result.per_m]
     stability = result.summary["c_stability"]
     dist_ok = all(abs(row["distance"] - 0.25) < 1e-12 for row in result.per_m)
     in_range = all(0.55 <= c <= 0.85 for c in cs)
-    stable = stability is not None and stability <= tier.bias_stability_tol
+    tol = run.tier.bias_stability_tol
+    stable = stability is not None and stability <= tol
     ok = dist_ok and in_range and stable
     detail = (
         f"c per M = {[round(c, 4) for c in cs]} (window [0.55, 0.85]), "
-        f"stability={stability:.4f} (tol {tier.bias_stability_tol}), distance=0.25 for all M: {dist_ok}"
+        f"stability={stability:.4f} (tol {tol}), distance=0.25 for all M: {dist_ok}"
     )
-    return result, (ok, detail)
+    return ok, detail
 
 
-def criterion_rho(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_rho(run: _Run) -> tuple[bool, str]:
     """C12: constants at rho = 0.1; the bias constant is reported as defined."""
     rc = rho_constants(0.1)
     ok = 4.17 < rc.c_rho < 4.2 and rc.rho_bar < 1.0
@@ -389,25 +367,21 @@ def criterion_rho(tier: Tier, master: int) -> tuple[bool, str]:
     )
 
 
+# C13's artifacts: (file, campaign, config keys besides delta=1.0 and the seed).
+_DETERMINISM_ARTIFACTS = (
+    ("decay.csv", decay_sweep, dict(mode="grfcq", n=6, m_list=(32, 64, 128), trials=6, directions=64)),
+    ("bias.csv", bias_experiment, dict(mode="bias", n=6, lam=0.25, m_list=(200, 400), trials=8)),
+    ("noise.csv", noise_power_check, dict(mode="noise", n=6, m_list=(256,), trials=16)),
+)
+
+
 def _determinism_artifacts(out_dir: Path, seed: int, threads: int) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    decay_cfg = ExperimentConfig(
-        mode="grfcq", n=6, m_list=(32, 64, 128), trials=6, directions=64, delta=1.0, seed=seed
-    )
-    path = out_dir / "decay.csv"
-    write_records(path, decay_sweep(decay_cfg, threads).records)
-    paths.append(path)
-    bias_cfg = ExperimentConfig(
-        mode="bias", n=6, lam=0.25, delta=1.0, m_list=(200, 400), trials=8, seed=seed
-    )
-    path = out_dir / "bias.csv"
-    write_records(path, bias_experiment(bias_cfg, threads).records)
-    paths.append(path)
-    noise_cfg = ExperimentConfig(mode="noise", n=6, m_list=(256,), trials=16, delta=1.0, seed=seed)
-    path = out_dir / "noise.csv"
-    write_records(path, noise_power_check(noise_cfg, threads).records)
-    paths.append(path)
+    for name, campaign, keys in _DETERMINISM_ARTIFACTS:
+        paths.append(out_dir / name)
+        cfg = ExperimentConfig(delta=1.0, seed=seed, **keys)
+        write_records(paths[-1], campaign(cfg, threads).records)
     return paths
 
 
@@ -416,10 +390,10 @@ def _strip_wall(text: str) -> str:
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
 
-def criterion_determinism(tier: Tier, master: int) -> tuple[bool, str]:
+def criterion_determinism(run: _Run) -> tuple[bool, str]:
     """C13: CSV artifacts byte-identical across reruns and thread counts
     (wall-time column excluded)."""
-    seed = _seed_for(master, 13)
+    seed = run.seed(13)
     with tempfile.TemporaryDirectory() as tmp:
         a = _determinism_artifacts(Path(tmp) / "a", seed, threads=1)
         b = _determinism_artifacts(Path(tmp) / "b", seed, threads=4)
@@ -437,6 +411,26 @@ def criterion_determinism(tier: Tier, master: int) -> tuple[bool, str]:
     )
 
 
+# The suite, in run order: (number, name, wall-clock budget in seconds, check).
+# Budgets are stated with the criteria and enforced at the full tier; None
+# means no budget of its own (C8 reads C6's sweep).
+CRITERIA = [
+    (1, "quantizer-laws", 1.0, criterion_quantizer_laws),
+    (2, "dither-error-law", 10.0, criterion_error_law),
+    (3, "classic-buffon-oracle", 5.0, criterion_classic_buffon),
+    (4, "dumbbell-bound-grid", 120.0, criterion_dumbbell_grid),
+    (5, "kappa-bounds", 1.0, criterion_kappa),
+    (6, "grfcq-decay", 600.0, criterion_grfcq_decay),
+    (7, "qcs-decay", 600.0, criterion_qcs_decay),
+    (8, "baseline-contrast", None, criterion_baseline_contrast),
+    (9, "proximity-predicate-scan", 600.0, criterion_scan),
+    (10, "relaxed-cells", 900.0, criterion_relaxed),
+    (11, "bias-floor", 120.0, criterion_bias),
+    (12, "rho-constants", 1.0, criterion_rho),
+    (13, "determinism", None, criterion_determinism),
+]
+
+
 def run_all(
     tier: Tier,
     master: int = 0,
@@ -444,75 +438,20 @@ def run_all(
     threads: int = 1,
     progress=None,
 ) -> list[CriterionResult]:
-    """Run all thirteen criteria in order; write sweep CSVs into out_dir."""
+    """Run the CRITERIA rows in order; write sweep CSVs into out_dir."""
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+    run = _Run(tier, master, threads, out)
     results: list[CriterionResult] = []
-
-    def note(msg: str) -> None:
+    for number, name, budget, check in CRITERIA:
         if progress is not None:
-            progress(msg)
-
-    def push(number: int, name: str, outcome: tuple[bool, str], started: float) -> None:
-        passed, detail = outcome
+            progress(f"criterion {number}: {name}")
+        started = time.perf_counter()
+        passed, detail = check(run)
         elapsed = time.perf_counter() - started
-        budget = RUNTIME_BUDGETS[number]
         if tier.name == "full" and budget is not None and elapsed > budget:
             passed = False
             detail += f"; exceeded the {budget:.0f}s runtime budget"
         results.append(CriterionResult(number, name, passed, detail, elapsed))
-
-    def simple(number: int, name: str, fn) -> None:
-        note(f"criterion {number}: {name}")
-        started = time.perf_counter()
-        push(number, name, fn(tier, master), started)
-
-    simple(1, "quantizer-laws", criterion_quantizer_laws)
-    simple(2, "dither-error-law", criterion_error_law)
-    simple(3, "classic-buffon-oracle", criterion_classic_buffon)
-    simple(4, "dumbbell-bound-grid", criterion_dumbbell_grid)
-    simple(5, "kappa-bounds", criterion_kappa)
-
-    note("criterion 6: grfcq-decay (shared sweep with criterion 8)")
-    started = time.perf_counter()
-    sweep6 = run_grfcq_sweep(tier, master, threads)
-    if out is not None:
-        write_records(out / "grfcq_decay.csv", sweep6.records)
-    push(6, "grfcq-decay", criterion_grfcq_decay(sweep6), started)
-
-    note("criterion 7: qcs-decay")
-    started = time.perf_counter()
-    sweep7, outcome = criterion_qcs_decay(tier, master, threads)
-    if out is not None:
-        write_records(out / "qcs_decay.csv", sweep7.records)
-    push(7, "qcs-decay", outcome, started)
-
-    started = time.perf_counter()
-    push(8, "baseline-contrast", criterion_baseline_contrast(sweep6), started)
-
-    note("criterion 9: proximity-predicate-scan")
-    started = time.perf_counter()
-    scan, outcome = criterion_scan(tier, master, threads)
-    if out is not None:
-        write_records(out / "scan.csv", scan.records)
-    push(9, "proximity-predicate-scan", outcome, started)
-
-    note("criterion 10: relaxed-cells")
-    started = time.perf_counter()
-    sweeps, outcome = criterion_relaxed(tier, master, threads)
-    if out is not None:
-        for r, sweep in sweeps.items():
-            write_records(out / f"relaxed_r{r}.csv", sweep.records)
-    push(10, "relaxed-cells", outcome, started)
-
-    note("criterion 11: bias-floor")
-    started = time.perf_counter()
-    bias, outcome = criterion_bias(tier, master, threads)
-    if out is not None:
-        write_records(out / "bias.csv", bias.records)
-    push(11, "bias-floor", outcome, started)
-
-    simple(12, "rho-constants", criterion_rho)
-    simple(13, "determinism", criterion_determinism)
     return results

@@ -84,20 +84,25 @@ def _tail(eta: float) -> float:
     return math.log(1.0 / (2.0 * eta))
 
 
-def _complexity_ball(epsilon0: float, n: int) -> float:
-    arg = 29.0 * math.sqrt(n) / epsilon0
-    if arg <= 1.0:
-        raise ValueError(f"epsilon0 = {epsilon0} makes the covering log argument <= 1")
-    return n * math.log(arg)
-
-
-def _complexity_sparse(epsilon0: float, n: int, k: int) -> float:
-    if not 1 <= k <= n:
+def _complexity(epsilon0: float, n: int, k: int | None = None) -> float:
+    """Covering term: n*ln(29*sqrt(n)/eps) for unit-ball signals (k None),
+    2*k*ln(56*n/(sqrt(k)*eps)) for k-sparse ones."""
+    if k is not None and not 1 <= k <= n:
         raise ValueError(f"sparsity must satisfy 1 <= k <= n, got k={k}, n={n}")
-    arg = 56.0 * n / (math.sqrt(k) * epsilon0)
+    arg = 29.0 * math.sqrt(n) / epsilon0 if k is None else 56.0 * n / (math.sqrt(k) * epsilon0)
     if arg <= 1.0:
         raise ValueError(f"epsilon0 = {epsilon0} makes the covering log argument <= 1")
-    return 2.0 * k * math.log(arg)
+    return n * math.log(arg) if k is None else 2.0 * k * math.log(arg)
+
+
+def _condition(epsilon0: float, eta: float, delta: float, n: int, k: int | None) -> tuple[float, float]:
+    """(factor, complexity + tail) of the condition m >= factor*(complexity + tail)."""
+    return (4.0 * delta + 2.0 * epsilon0) / epsilon0, _complexity(epsilon0, n, k) + _tail(eta)
+
+
+def _strict_count(factor: float, base: float) -> int:
+    """The smallest m >= 1 with m >= factor*base."""
+    return max(1, math.ceil(factor * base))
 
 
 def min_measurements_grfcq(epsilon0: float, eta: float, delta: float, n: int) -> int:
@@ -107,8 +112,7 @@ def min_measurements_grfcq(epsilon0: float, eta: float, delta: float, n: int) ->
     floored at 1.
     """
     _check_common(epsilon0, eta, delta, n)
-    factor = (4.0 * delta + 2.0 * epsilon0) / epsilon0
-    return max(1, math.ceil(factor * (_complexity_ball(epsilon0, n) + _tail(eta))))
+    return _strict_count(*_condition(epsilon0, eta, delta, n, None))
 
 
 def min_measurements_qcs(epsilon0: float, eta: float, delta: float, n: int, k: int) -> int:
@@ -117,8 +121,9 @@ def min_measurements_qcs(epsilon0: float, eta: float, delta: float, n: int, k: i
     Same shape with complexity term 2*k*ln(56*n/(sqrt(k)*eps)).
     """
     _check_common(epsilon0, eta, delta, n)
-    factor = (4.0 * delta + 2.0 * epsilon0) / epsilon0
-    return max(1, math.ceil(factor * (_complexity_sparse(epsilon0, n, k) + _tail(eta))))
+    if k is None:
+        raise ValueError("sparse mode requires k")
+    return _strict_count(*_condition(epsilon0, eta, delta, n, k))
 
 
 def min_measurements_relaxed(params: BoundParams, mode: str) -> int:
@@ -131,21 +136,18 @@ def min_measurements_relaxed(params: BoundParams, mode: str) -> int:
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    eps, eta, delta, n, r = params.epsilon0, params.eta, params.delta, params.n, params.r
-    if mode == "qcs":
-        if params.k is None:
-            raise ValueError("sparse mode requires k")
-        base = _complexity_sparse(eps, n, params.k) + _tail(eta)
-    else:
-        base = _complexity_ball(eps, n) + _tail(eta)
-    factor = (4.0 * delta + 2.0 * eps) / eps
+    if mode == "qcs" and params.k is None:
+        raise ValueError("sparse mode requires k")
+    k = params.k if mode == "qcs" else None
+    factor, base = _condition(params.epsilon0, params.eta, params.delta, params.n, k)
+    r = params.r
+    m = _strict_count(factor, base)
     if r == 0:
-        return max(1, math.ceil(factor * base))
+        return m
 
     def rhs(m: int) -> float:
         return r + factor * (r * math.log(math.e * m / r) + base)
 
-    m = max(1, math.ceil(factor * base))
     for _ in range(100):
         m_next = max(1, math.ceil(rhs(m)))
         if m_next == m:
@@ -203,13 +205,10 @@ def predicted_eps(
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
 
-    def complexity(eps: float) -> float:
-        if mode == "qcs":
-            return _complexity_sparse(eps, n, k)
-        return _complexity_ball(eps, n)
+    k = k if mode == "qcs" else None
 
     def f(eps: float) -> float:
-        return (4.0 * (delta + 1.0) / m) * (complexity(eps) + _tail(eta))
+        return (4.0 * (delta + 1.0) / m) * (_complexity(eps, n, k) + _tail(eta))
 
     eps = 2.0
     if f(eps) > eps:

@@ -129,7 +129,7 @@ def _common_keys(default_out: str | None) -> list[Key]:
 _WIDTH_KEYS = [
     Key("n", "int", 8, "signal dimension"),
     Key("k", "int", None, "sparsity; set for sparse-signal sweeps"),
-    Key("m_list", "ints", (32, 64, 128, 256, 512, 1024), "comma-separated measurement counts, ascending"),
+    Key("m_list", "ints", (32, 64, 128, 256, 512, 1024), "comma-separated measurement counts, strictly ascending"),
     Key("trials", "int", 50, "trials per M"),
     Key("directions", "int", 512, "random directions per width estimate"),
     Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
@@ -163,7 +163,7 @@ _KEYS: dict[str, list[Key]] = {
         Key("n", "int", 8, "signal dimension"),
         Key("k", "int", 2, "sparsity of the test signals"),
         Key("lam", "float", 0.25, "offset in resolution units; |lam|*delta must stay below 1"),
-        Key("m_list", "ints", (1000, 10000), "comma-separated measurement counts, ascending"),
+        Key("m_list", "ints", (1000, 10000), "comma-separated measurement counts, strictly ascending"),
         Key("trials", "int", 200, "trials per M"),
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
     ],
@@ -189,7 +189,7 @@ _KEYS: dict[str, list[Key]] = {
     "noise": _common_keys("noise.csv")
     + [
         Key("n", "int", 8, "signal dimension"),
-        Key("m_list", "ints", (1000,), "comma-separated measurement counts, ascending"),
+        Key("m_list", "ints", (1000,), "comma-separated measurement counts, strictly ascending"),
         Key("trials", "int", 1000, "trials per M"),
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
     ],
@@ -391,8 +391,8 @@ def _build_parser() -> _Parser:
             p.add_argument(_flag(key.name), dest=key.name, default=None, help=f"{key.help} (default: {key.default})")
         if name == "check":
             tier_group = p.add_mutually_exclusive_group()
-            tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (under a minute)")
-            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (a few minutes)")
+            tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (a few seconds)")
+            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 25 s)")
     return parser
 
 

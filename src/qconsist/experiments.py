@@ -89,8 +89,8 @@ class ExperimentConfig:
         m_list = tuple(int(m) for m in self.m_list)
         if any(m < 1 for m in m_list):
             raise ValueError("every M must be >= 1")
-        if list(m_list) != sorted(m_list):
-            raise ValueError("m_list must be sorted ascending")
+        if any(a >= b for a, b in zip(m_list, m_list[1:])):
+            raise ValueError(f"m_list must be strictly ascending, got {m_list}")
         object.__setattr__(self, "m_list", m_list)
 
 
@@ -187,6 +187,8 @@ def _run(cfg: ExperimentConfig, label: tuple[str, int, int], measure, threads: i
     """
     mode, k, r = label
     m_list = cfg.m_list if m_list is None else m_list
+    if not m_list:
+        raise ValueError("m_list must not be empty")
 
     def task(mi: int, m: int, trial: int) -> RunRecord:
         start = time.perf_counter()
@@ -225,8 +227,6 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     widths).  Fits the log-log slope of per-M median widths and overlays the
     saturated-proximity prediction where M is large enough for it.
     """
-    if not cfg.m_list:
-        raise ValueError("m_list must not be empty")
     if cfg.mode not in ("grfcq", "qcs", "relaxed"):
         raise ValueError(f"decay sweep supports modes grfcq/qcs/relaxed, got {cfg.mode!r}")
     if cfg.mode == "qcs" and cfg.k is None:
@@ -296,8 +296,6 @@ def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     constant c with discrepancy/M ~ c*|lam|; the distance ||x - x*|| equals
     |lam|*delta for every M, demonstrating the non-decaying floor.
     """
-    if not cfg.m_list:
-        raise ValueError("m_list must not be empty")
     if abs(cfg.lam) * cfg.delta >= 1.0:
         raise ValueError(
             f"|lam|*delta = {abs(cfg.lam) * cfg.delta} >= 1 pushes the offset signal out of the unit ball"
@@ -390,8 +388,6 @@ def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult
     power ratio and the deviation zeta_hat = (power - M*delta^2/12) /
     (delta^2*sqrt(M)/12).
     """
-    if not cfg.m_list:
-        raise ValueError("m_list must not be empty")
     spec = QuantizerSpec(cfg.delta)
     model = SignalModel.unit_ball(cfg.n)
 

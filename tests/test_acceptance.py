@@ -5,6 +5,8 @@ separately, printing the one-line verdicts as it goes.
 """
 
 import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,3 +80,35 @@ def test_criterion_12_rho_constants(full_results):
 
 def test_criterion_13_determinism(full_results):
     _check(full_results, 13)
+
+
+def test_budget_overrun_fails_only_at_the_full_tier(monkeypatch):
+    def stub(run):
+        time.sleep(0.001)
+        return True, "stub passed"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub", 0.0, stub)])
+    notes = []
+    [full] = acceptance.run_all(acceptance.FULL, progress=notes.append)
+    assert not full.passed
+    assert full.detail.endswith("exceeded the 0s runtime budget")
+    [quick] = acceptance.run_all(acceptance.QUICK)
+    assert quick.passed and quick.detail == "stub passed"
+    assert notes == ["criterion 1: stub"]
+
+
+def test_shared_sweep_runs_once_per_call(monkeypatch):
+    calls = []
+
+    def fake_sweep(cfg, threads):
+        calls.append(cfg.seed)
+        return SimpleNamespace(records=[])
+
+    def reads_sweep(run):
+        return run.grfcq_sweep.records == [], "read the shared sweep"
+
+    monkeypatch.setattr(acceptance, "decay_sweep", fake_sweep)
+    monkeypatch.setattr(acceptance, "CRITERIA", [(6, "a", None, reads_sweep), (8, "b", None, reads_sweep)])
+    for master in (0, 1):
+        assert all(result.passed for result in acceptance.run_all(acceptance.QUICK, master=master))
+    assert len(calls) == 2 and calls[0] != calls[1]

@@ -80,6 +80,11 @@ def test_qcs_anchor_and_monotonicity():
     assert min_measurements_qcs(0.5, 0.1, 1.0, 64, 3) > min_measurements_qcs(0.5, 0.1, 1.0, 32, 3)
 
 
+def test_qcs_requires_k():
+    with pytest.raises(ValueError):
+        min_measurements_qcs(0.5, 0.1, 1.0, 8, None)
+
+
 def test_qcs_comparable_to_grfcq_at_full_sparsity():
     for n in (4, 8, 16):
         ratio = min_measurements_qcs(0.5, 0.1, 1.0, n, n) / min_measurements_grfcq(0.5, 0.1, 1.0, n)

@@ -53,6 +53,17 @@ def test_bad_numeric_flag_exits_one(capsys):
     assert "invalid value" in err
 
 
+def test_repeated_m_values_exit_one(tmp_path, capsys):
+    out_csv = tmp_path / "decay.csv"
+    code, out, err = run_cli(
+        capsys, "decay", "--n", "3", "--m-list", "8,8,16,32", "--trials", "2", "--directions", "8",
+        "--out", str(out_csv),
+    )
+    assert code == 1
+    assert "strictly ascending" in err
+    assert out == "" and not out_csv.exists()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decay", "--help"])

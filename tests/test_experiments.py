@@ -63,10 +63,18 @@ def test_fit_loglog_rejects_degenerate_input():
 def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(m_list=(64, 32))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        small_cfg(m_list=(16, 16, 32))
     with pytest.raises(ValueError):
         small_cfg(trials=0)
     with pytest.raises(ValueError):
         small_cfg(n=0)
+
+
+def test_campaigns_reject_an_empty_m_list():
+    for campaign, mode in ((decay_sweep, "grfcq"), (bias_experiment, "bias"), (noise_power_check, "noise")):
+        with pytest.raises(ValueError, match="m_list must not be empty"):
+            campaign(small_cfg(mode=mode, m_list=()))
 
 
 def test_decay_sweep_record_layout_and_bounds():
