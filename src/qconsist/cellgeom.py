@@ -18,7 +18,10 @@ relaxed cell the exit is the time of the (r+1)-th grid-boundary crossing
 accumulated over all measurements, or the ball exit if that comes first.
 Crossing times per measurement form an arithmetic progression (first
 boundary ahead, then every delta/|g|), so only the first r+1 terms of each
-progression can matter.
+progression can matter.  Nor can any measurement outside the r+1 whose
+first crossings come earliest: those r+1 first crossings all come no later
+than the largest of them, and no other measurement crosses before it.  Each
+direction therefore partitions (r+1)^2 candidates, whatever M is.
 
 Width estimates are certified lower bounds: the witness point re-quantizes
 to the cell's codes (integer equality; discrepancy <= r for relaxed cells)
@@ -230,12 +233,20 @@ def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray
     if r == 0:
         t_slab = first.min(axis=0)
         return np.minimum(t_slab, t_ball)
-    with np.errstate(divide="ignore"):
-        spacing = np.where(g != 0.0, cell.delta / np.abs(g), np.inf)
-    # First r+1 crossings per measurement; the (r+1)-th smallest overall is
-    # among them.  kth index r selects that order statistic per direction.
+    # The r+1 earliest first crossings are r+1 crossings no later than the
+    # largest of them, and every other row crosses no earlier than that; so
+    # the (r+1)-th crossing overall comes from those r+1 rows alone.
+    if r + 1 < cell.m:
+        # row-major partition per direction: faster than along axis 0
+        near = np.argpartition(first.T, r, axis=1)[:, : r + 1].T
+        cols = np.arange(directions.shape[1])
+        first, g = first[near, cols], g[near, cols]
+    # First r+1 crossings per kept row; kth index r selects the (r+1)-th
+    # smallest of them per direction.
     steps = np.arange(r + 1, dtype=np.float64)
-    candidates = first[:, :, None] + spacing[:, :, None] * steps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spacing = np.where(g != 0.0, cell.delta / np.abs(g), np.inf)
+        candidates = first[:, :, None] + spacing[:, :, None] * steps
     # g == 0 rows produce inf + inf*0 = nan; those measurements never cross.
     candidates = np.where(np.isnan(candidates), np.inf, candidates)
     flat = candidates.transpose(1, 0, 2).reshape(directions.shape[1], -1)

@@ -392,7 +392,7 @@ def _build_parser() -> _Parser:
         if name == "check":
             tier_group = p.add_mutually_exclusive_group()
             tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (a few seconds)")
-            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 25 s)")
+            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 13 s)")
     return parser
 
 

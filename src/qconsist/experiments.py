@@ -20,8 +20,11 @@ Column meaning by mode:
 
 from __future__ import annotations
 
+import ctypes
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +173,71 @@ def _map_tasks(fn, args_list, threads: int):
         return list(pool.map(lambda args: fn(*args), args_list))
 
 
+class _LoadedObject(ctypes.Structure):
+    # leading fields of struct dl_phdr_info
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+_VISIT = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_LoadedObject), ctypes.c_size_t, ctypes.c_void_p)
+
+# (prefix, suffix) of the thread-count functions: numpy's 64-bit-integer
+# build, scipy's build, then a plain OpenBLAS
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
+
+
+def _openblas_libraries() -> list:
+    """(get, set) thread-count functions of every loaded OpenBLAS.
+
+    Found among the loaded shared objects by dl_iterate_phdr, so hashed
+    wheel file names do not matter; empty where that call does not exist.
+    """
+    paths = []
+
+    def visit(info, size, data):
+        name = info.contents.name
+        if name and b"openblas" in os.path.basename(name).lower():
+            paths.append(os.fsdecode(name))
+        return 0
+
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError, TypeError):
+        return []
+    iterate.argtypes, iterate.restype = [_VISIT, ctypes.c_void_p], ctypes.c_int
+    callback = _VISIT(visit)
+    iterate(callback, None)
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS runs one thread inside; old counts come back after.
+
+    Campaign tasks multiply small matrices, where a second BLAS thread only
+    busy-waits and competes with the runner's own threads for the cores.
+    """
+    libraries = _openblas_libraries()
+    old = [get() for get, _ in libraries]
+    for _, put in libraries:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libraries, old):
+            put(count)
+
+
 def _task_seed(master: int, global_index: int) -> tuple[int, int, int]:
     seed_t = derive_stream(master, global_index)
     return seed_t, derive_stream(seed_t, 0), derive_stream(seed_t, 1)
@@ -183,7 +251,8 @@ def _run(cfg: ExperimentConfig, label: tuple[str, int, int], measure, threads: i
     draws its seeds from global index mi*trials + trial;
     `measure(m, ens_seed, sig_seed)` returns the record's (value, baseline)
     and `label` its (mode, k, r).  `row(m, records_at_m)` builds the per-M
-    summary rows, in m_list order.  Returns (records, rows).
+    summary rows, in m_list order.  Returns (records, rows).  Tasks run
+    with one BLAS thread each (_one_blas_thread).
     """
     mode, k, r = label
     m_list = cfg.m_list if m_list is None else m_list
@@ -198,7 +267,8 @@ def _run(cfg: ExperimentConfig, label: tuple[str, int, int], measure, threads: i
         return RunRecord(mode, cfg.n, k, m, r, trial, seed_t, value, baseline, wall_ms)
 
     tasks = [(mi, m, trial) for mi, m in enumerate(m_list) for trial in range(cfg.trials)]
-    records = _map_tasks(task, tasks, threads)
+    with _one_blas_thread():
+        records = _map_tasks(task, tasks, threads)
     records.sort(key=lambda rec: (rec.m, rec.trial))
     if row is None:
         return records, []

@@ -40,7 +40,17 @@ class EnumerationCapError(RuntimeError):
 
 
 class NoConsistentSolutionError(RuntimeError):
-    """No enumerated support produced a consistent solution."""
+    """No enumerated support verified within the per-support cycle cap.
+
+    This is not an infeasibility certificate: a support that ran out of
+    cycles may still hold a consistent solution.  `supports` is the number
+    of supports tried and `max_iter` the POCS cycle cap each one had.
+    """
+
+    def __init__(self, message: str, supports: int, max_iter: int):
+        super().__init__(message)
+        self.supports = supports
+        self.max_iter = max_iter
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -167,9 +177,10 @@ def qcs_enumerate(
 
     Raises EnumerationCapError when C(n, k) exceeds `enumeration_cap`, and
     NoConsistentSolutionError when no support verifies within `max_iter`
-    cycles each.  The default per-support budget is intentionally modest:
-    infeasible supports have no convergence certificate, so enumeration
-    bounds the work per support.
+    cycles each.  That error is not an infeasibility certificate: a
+    feasible support that needs more than `max_iter` cycles fails the same
+    way.  The default per-support budget is intentionally modest, since
+    POCS cannot tell an infeasible support from a slow one.
     """
     n = ensemble.n
     if not 1 <= k <= n:
@@ -186,7 +197,10 @@ def qcs_enumerate(
         if result.consistent:
             return result
     raise NoConsistentSolutionError(
-        f"no consistent {k}-sparse solution found over {total} supports"
+        f"no {k}-support of {total} verified within max_iter={max_iter} POCS cycles; "
+        "this is not an infeasibility certificate (a larger max_iter may verify one)",
+        total,
+        max_iter,
     )
 
 

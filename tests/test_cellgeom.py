@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qconsist.cellgeom import (
     NotInCellError,
+    _ray_exits,
+    _random_directions,
     ball_cell,
     build_cell,
     cell_contains,
@@ -16,7 +20,7 @@ from qconsist.cellgeom import (
     ray_exit_relaxed,
     ray_exit_strict,
 )
-from qconsist.quantizer import QuantizerSpec
+from qconsist.quantizer import QuantizerSpec, _encode_values
 from qconsist.randkit import Stream, substream
 from qconsist.sensing import SensingEnsemble, SignalModel, gen_ensemble, sample_signal, sense
 
@@ -308,3 +312,69 @@ def test_median_width_shrinks_with_m():
         return float(np.median(widths))
 
     assert median_width(256) < median_width(32)
+
+
+def tensor_ray_exits(cell, x0_act, directions, r):
+    """Oracle: the (r+1)-th crossing over all M rows' first r+1 crossings,
+    from the full (M, D, r+1) candidate tensor."""
+    c = x0_act @ directions
+    disc = c * c + (cell.ball_radius**2 - float(x0_act @ x0_act))
+    t_ball = np.maximum(-c + np.sqrt(np.maximum(disc, 0.0)), 0.0)
+    phi = cell.active_phi()
+    w = phi @ x0_act
+    g = phi @ directions
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.where(
+            g > 0.0,
+            (cell.hi[:, None] - w[:, None]) / g,
+            np.where(g < 0.0, (cell.lo[:, None] - w[:, None]) / g, np.inf),
+        )
+        first = np.maximum(first, 0.0)
+        spacing = np.where(g != 0.0, cell.delta / np.abs(g), np.inf)
+        candidates = first[:, :, None] + spacing[:, :, None] * np.arange(r + 1, dtype=np.float64)
+    candidates = np.where(np.isnan(candidates), np.inf, candidates)
+    flat = candidates.transpose(1, 0, 2).reshape(directions.shape[1], -1)
+    return np.minimum(np.partition(flat, r, axis=1)[:, r], t_ball)
+
+
+@st.composite
+def ray_instances(draw):
+    """(cell, origin, directions) on a dyadic lattice or from gen_ensemble.
+
+    Lattice instances (up to 8 rows, then up to 8 exact repeats) draw phi
+    entries from a few small values, zeros included, so signed-axis
+    directions meet rows with g = 0; dyadic origins and dithers put origins
+    exactly on slab boundaries; and repeated rows tie their first crossings.  Random instances (M <= 96) exercise the
+    partition over many rows.  Either may restrict the cell to a support.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 8))
+        values = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+        rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=m))
+        rows = rows + rows[: draw(st.integers(0, len(rows)))]
+        delta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        xi = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=len(rows), max_size=len(rows)))
+        ens = manual_ensemble(rows, np.asarray(xi) * delta, delta)
+        x0 = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, -0.25, 0.5]), min_size=n, max_size=n)))
+    else:
+        delta = draw(st.sampled_from([0.05, 0.3, 1.0]))
+        ens = gen_ensemble(draw(st.integers(1, 96)), n, QuantizerSpec(delta), draw(st.integers(0, 2**63)))
+        x0 = sample_signal(SignalModel.unit_ball(n), Stream(draw(st.integers(0, 2**63)))).x
+    support = None
+    if n > 1 and draw(st.booleans()):
+        support = np.asarray(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))))
+        off = np.ones(n, dtype=bool)
+        off[support] = False
+        x0 = np.where(off, 0.0, x0)
+    codes = _encode_values(ens.phi @ x0 + ens.xi, ens.spec.delta)
+    cell = build_cell(ens, codes, 1.0, support)
+    dim = cell.active_dim()
+    rand = _random_directions(Stream(draw(st.integers(0, 2**63))), dim, draw(st.integers(1, 16)))
+    return cell, cell.restrict(x0), np.hstack([rand, np.eye(dim), -np.eye(dim)])
+
+
+@given(ray_instances(), st.integers(0, 5))
+def test_ray_exits_equal_the_full_candidate_tensor(instance, r):
+    cell, x0_act, directions = instance
+    assert np.array_equal(_ray_exits(cell, x0_act, directions, r), tensor_ray_exits(cell, x0_act, directions, r))

@@ -1,9 +1,14 @@
 """CLI contract: dispatch, exit codes, config files, output channels."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qconsist
 from qconsist.bounds import min_measurements_grfcq
 from qconsist.cli import main
 from qconsist.experiments import CSV_HEADER
@@ -70,6 +75,15 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--m-list" in out and "default" in out
+
+
+def test_python_m_qconsist_runs_the_command():
+    src = str(Path(qconsist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "qconsist", "check", "--help"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "--full" in out.stdout
 
 
 def test_sense_emits_codes_and_dumps_ensemble(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qconsist import experiments
 from qconsist.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -198,3 +199,50 @@ def test_csv_determinism_modulo_wall_time(tmp_path):
         return ["," .join(line.split(",")[:-1]) for line in lines]
 
     assert strip_wall(tmp_path / "a.csv") == strip_wall(tmp_path / "b.csv")
+
+
+def openblas_or_skip():
+    libraries = experiments._openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS is loaded")
+    return libraries
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runner_tasks_see_one_blas_thread(threads):
+    libraries = openblas_or_skip()
+
+    def measure(m, ens_seed, sig_seed):
+        return float(max(get() for get, _ in libraries)), 0.0
+
+    records, _ = experiments._run(small_cfg(trials=3), ("grfcq", 0, 0), measure, threads)
+    assert [rec.value for rec in records] == [1.0] * 9
+
+
+def test_runner_restores_the_blas_thread_count():
+    libraries = openblas_or_skip()
+    old = [get() for get, _ in libraries]
+    try:
+        # two threads before the run, so restoring is not the same as pinning
+        for _, put in libraries:
+            put(2)
+
+        def failing(m, ens_seed, sig_seed):
+            raise RuntimeError("task failed")
+
+        experiments._run(small_cfg(trials=1), ("grfcq", 0, 0), lambda *_: (0.0, 0.0), 1)
+        assert [get() for get, _ in libraries] == [2] * len(libraries)
+        with pytest.raises(RuntimeError, match="task failed"):
+            experiments._run(small_cfg(trials=1), ("grfcq", 0, 0), failing, 2)
+        assert [get() for get, _ in libraries] == [2] * len(libraries)
+    finally:
+        for (_, put), count in zip(libraries, old):
+            put(count)
+
+
+def test_runner_works_without_openblas(monkeypatch):
+    cfg = small_cfg(trials=2)
+    pinned = [rec.value for rec in decay_sweep(cfg).records]
+    monkeypatch.setattr(experiments, "_openblas_libraries", lambda: [])
+    for threads in (1, 2):
+        assert [rec.value for rec in decay_sweep(cfg, threads).records] == pinned

@@ -146,6 +146,22 @@ def test_enumerate_raises_when_nothing_is_consistent():
         qcs_enumerate(ens, codes, 1, max_iter=200)
 
 
+def test_enumeration_failure_names_the_cycle_cap():
+    # The true support {0, 9} verifies after 351 POCS cycles, so the default
+    # 200-cycle cap fails on a feasible instance: the error must say that
+    # it ran out of cycles, not that no solution exists.
+    ens = gen_ensemble(40, 10, UNIT, 7848261063727613129)
+    sig = sample_signal(SignalModel.sparse_ball(10, 2), Stream(12605518005071551451))
+    codes = sense(ens, sig).codes
+    with pytest.raises(NoConsistentSolutionError, match="within max_iter=200 POCS cycles") as info:
+        qcs_enumerate(ens, codes, 2)
+    assert "not an infeasibility certificate" in str(info.value)
+    assert (info.value.supports, info.value.max_iter) == (45, 200)
+    result = qcs_enumerate(ens, codes, 2, max_iter=400)
+    assert result.consistent
+    assert is_consistent(ens, codes, result.x_star)
+
+
 def test_linear_baseline_identity():
     ens = manual_ensemble(np.eye(2), [0.0, 0.0])
     codes = sense(ens, np.array([0.2, 0.7])).codes
