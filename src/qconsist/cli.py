@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -152,7 +152,7 @@ _KEYS: dict[str, list[Key]] = {
         Key("k", "int", None, "sparsity; set to solve by support enumeration"),
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
         Key("tol", "float", None, "slab interior margin; default 1e-9*delta"),
-        Key("max_iter", "int", 100_000, "projection-cycle cap"),
+        Key("max_iter", "int", None, "projection-cycle cap; default 100000, or 200 per support with --k"),
     ],
     "decay": _common_keys("decay.csv") + _WIDTH_KEYS,
     "relaxed": _common_keys("relaxed.csv")
@@ -209,14 +209,15 @@ def _emit(data: dict, out: str | None) -> None:
         print(text)
 
 
+def _instance(opts: dict):
+    """The seeded (ensemble, signal, observation) of sense and reconstruct."""
+    ensemble = gen_ensemble(opts["m"], opts["n"], QuantizerSpec(opts["delta"]), derive_stream(opts["seed"], 0))
+    signal = sample_signal(SignalModel(opts["n"], opts["k"]), Stream(derive_stream(opts["seed"], 1)))
+    return ensemble, signal, sense(ensemble, signal)
+
+
 def _cmd_sense(opts: dict) -> int:
-    spec = QuantizerSpec(opts["delta"])
-    ens_seed = derive_stream(opts["seed"], 0)
-    sig_seed = derive_stream(opts["seed"], 1)
-    ensemble = gen_ensemble(opts["m"], opts["n"], spec, ens_seed)
-    model = SignalModel(opts["n"], opts["k"])
-    signal = sample_signal(model, Stream(sig_seed))
-    obs = sense(ensemble, signal)
+    ensemble, signal, obs = _instance(opts)
     if opts["dump_ensemble"]:
         save_ensemble(opts["dump_ensemble"], ensemble)
         _note(f"ensemble written to {opts['dump_ensemble']}")
@@ -236,17 +237,13 @@ def _cmd_sense(opts: dict) -> int:
 
 
 def _cmd_reconstruct(opts: dict) -> int:
-    spec = QuantizerSpec(opts["delta"])
-    ens_seed = derive_stream(opts["seed"], 0)
-    sig_seed = derive_stream(opts["seed"], 1)
-    ensemble = gen_ensemble(opts["m"], opts["n"], spec, ens_seed)
-    model = SignalModel(opts["n"], opts["k"])
-    signal = sample_signal(model, Stream(sig_seed))
-    obs = sense(ensemble, signal)
+    ensemble, signal, obs = _instance(opts)
+    # each solver keeps its own cycle cap unless --max-iter is given
+    cap = {} if opts["max_iter"] is None else {"max_iter": opts["max_iter"]}
     if opts["k"] is None:
-        result = pocs_consistent(ensemble, obs.codes, tol=opts["tol"], max_iter=opts["max_iter"])
+        result = pocs_consistent(ensemble, obs.codes, tol=opts["tol"], **cap)
     else:
-        result = qcs_enumerate(ensemble, obs.codes, opts["k"], tol=opts["tol"])
+        result = qcs_enumerate(ensemble, obs.codes, opts["k"], tol=opts["tol"], **cap)
     report = {
         "m": opts["m"],
         "n": opts["n"],
@@ -294,20 +291,7 @@ def _cmd_buffon(opts: dict) -> int:
         raise CliError("buffon requires n >= 2")
     _note(f"bound chain: n={opts['n']} alpha={opts['alpha']} throws={opts['throws']}")
     report = verify_bound_chain(opts["n"], opts["alpha"], opts["throws"], Stream(opts["seed"]))
-    _emit(
-        {
-            "n": report.n,
-            "alpha": report.alpha,
-            "radius": report.radius,
-            "p_hat": report.p_hat,
-            "stderr": report.stderr,
-            "mixture": report.mixture,
-            "jensen_bound": report.jensen_bound,
-            "bound": report.bound,
-            "ok": report.ok,
-        },
-        opts["out"],
-    )
+    _emit(asdict(report), opts["out"])
     return 0
 
 
@@ -329,8 +313,7 @@ def _cmd_bounds(opts: dict) -> int:
         )
         value = min_measurements_relaxed(params, inner)
     elif mode == "rho":
-        rc = rho_constants(opts["rho"])
-        print(json.dumps({"rho": rc.rho, "rho_bar": rc.rho_bar, "c_rho": rc.c_rho, "d_rho": rc.d_rho}, indent=2))
+        print(json.dumps(asdict(rho_constants(opts["rho"])), indent=2))
         return 0
     elif mode == "covering":
         value = covering_bound(opts["s"], opts["n"])
@@ -411,10 +394,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(opts, "full" if args.full else "quick")
         return _HANDLERS[args.command](opts)
-    except CliError as exc:
-        print(f"qconsist: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"qconsist: error: {exc}", file=sys.stderr)
         return 1
 

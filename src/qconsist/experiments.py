@@ -21,7 +21,6 @@ Column meaning by mode:
 from __future__ import annotations
 
 import ctypes
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -173,56 +172,36 @@ def _map_tasks(fn, args_list, threads: int):
         return list(pool.map(lambda args: fn(*args), args_list))
 
 
-class _LoadedObject(ctypes.Structure):
-    # leading fields of struct dl_phdr_info
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-
-_VISIT = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_LoadedObject), ctypes.c_size_t, ctypes.c_void_p)
-
-# (prefix, suffix) of the thread-count functions: numpy's 64-bit-integer
-# build, scipy's build, then a plain OpenBLAS
-_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
+# (prefix, suffix) of OpenBLAS's thread-count functions: numpy 2.x's
+# 64-bit-integer build, numpy 1.x's, scipy-openblas's 32-bit-integer build,
+# then a plain OpenBLAS
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
 
 
 def _openblas_libraries() -> list:
-    """(get, set) thread-count functions of every loaded OpenBLAS.
+    """(get, set) thread-count functions of the OpenBLAS numpy multiplies with.
 
-    Found among the loaded shared objects by dl_iterate_phdr, so hashed
-    wheel file names do not matter; empty where that call does not exist.
+    Looked up through numpy's own linear-algebra extension, whose handle
+    resolves the symbols of the BLAS it links; empty for any other BLAS
+    or where the lookup cannot reach them.
     """
-    paths = []
-
-    def visit(info, size, data):
-        name = info.contents.name
-        if name and b"openblas" in os.path.basename(name).lower():
-            paths.append(os.fsdecode(name))
-        return 0
-
     try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, OSError, TypeError):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
         return []
-    iterate.argtypes, iterate.restype = [_VISIT, ctypes.c_void_p], ctypes.c_int
-    callback = _VISIT(visit)
-    iterate(callback, None)
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        for prefix, suffix in _OPENBLAS_NAMES:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return found
+    for prefix, suffix in _OPENBLAS_NAMES:
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return [(get, put)]
+    return []
 
 
 @contextmanager
 def _one_blas_thread():
-    """Every loaded OpenBLAS runs one thread inside; old counts come back after.
+    """numpy's OpenBLAS runs one thread inside; the old count comes back after.
 
     Campaign tasks multiply small matrices, where a second BLAS thread only
     busy-waits and competes with the runner's own threads for the cores.

@@ -34,6 +34,7 @@ def test_bounds_other_modes(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--mode", "rho", "--rho", "0.1")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["rho", "rho_bar", "c_rho", "d_rho"]
     assert 4.17 < payload["c_rho"] < 4.2
     code, out, _ = run_cli(capsys, "bounds", "--mode", "qcs", "--n", "32", "--k", "3")
     assert code == 0 and int(out.strip()) > 0
@@ -109,6 +110,18 @@ def test_reconstruct_reports_consistency(capsys):
     assert "baseline_error" in payload
 
 
+def test_reconstruct_k_honours_max_iter(capsys):
+    code, out, err = run_cli(capsys, "reconstruct", "--n", "10", "--m", "40", "--k", "2", "--seed", "3", "--max-iter", "1")
+    assert code == 1 and out == ""
+    assert "max_iter=1" in err
+
+
+def test_tiny_delta_hits_the_code_guard(capsys):
+    code, out, err = run_cli(capsys, "sense", "--delta", "1e-300")
+    assert code == 1 and out == ""
+    assert err == "qconsist: error: input magnitude exceeds the 2**62 code guard; refusing to wrap\n"
+
+
 def test_config_file_merging_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
@@ -172,6 +185,7 @@ def test_buffon_subcommand_reports_chain(capsys):
     code, out, _ = run_cli(capsys, "buffon", "--n", "3", "--alpha", "2", "--throws", "20000", "--seed", "3")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["n", "alpha", "radius", "p_hat", "stderr", "mixture", "jensen_bound", "bound", "ok"]
     assert payload["ok"] is True
     assert payload["p_hat"] <= payload["bound"] + 3 * payload["stderr"]
 

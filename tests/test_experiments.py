@@ -208,6 +208,19 @@ def openblas_or_skip():
     return libraries
 
 
+def test_finder_returns_numpys_openblas_alone():
+    # the runner tests below skip when the finder finds nothing; this one does not
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:
+        pytest.skip("numpy < 1.26 cannot report its BLAS as a dict")
+    import scipy.integrate  # noqa: F401  (loads scipy's own OpenBLAS as well)
+
+    libraries = experiments._openblas_libraries()
+    assert len(libraries) == (1 if "openblas" in blas.lower() else 0)
+    assert all(get() >= 1 for get, _ in libraries)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_runner_tasks_see_one_blas_thread(threads):
     libraries = openblas_or_skip()

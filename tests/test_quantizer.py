@@ -52,6 +52,15 @@ def test_encode_rejects_bad_input():
         QuantizerSpec(-1.0)
 
 
+def test_code_guard_at_two_to_the_62():
+    below = np.nextafter(2.0**62, 0.0)
+    assert encode(below, UNIT) == int(below)
+    assert encode(-below, UNIT) == -int(below)
+    for edge in (2.0**62, -(2.0**62)):
+        with pytest.raises(ValueError, match=r"2\*\*62 code guard"):
+            encode(edge, UNIT)
+
+
 def test_sense_quantize_examples():
     obs = sense_quantize(np.array([0.0, 0.0]), np.array([0.0, 0.0]), UNIT)
     assert obs.codes.tolist() == [0, 0]
