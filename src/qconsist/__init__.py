@@ -6,16 +6,7 @@ dumbbell crossing-probability machinery, closed-form measurement bounds,
 and reproducible Monte Carlo experiment campaigns with a CLI front end.
 """
 
-from .bounds import (
-    BoundParams,
-    RhoConstants,
-    covering_bound,
-    min_measurements_grfcq,
-    min_measurements_qcs,
-    min_measurements_relaxed,
-    predicted_eps,
-    rho_constants,
-)
+from .bounds import RhoConstants, covering_bound, min_measurements, predicted_eps, rho_constants
 from .buffon import (
     DumbbellConfig,
     BoundChainReport,

@@ -1,10 +1,12 @@
 """Closed-form sample-complexity formulas and error-bound constants.
 
-Minimal measurement counts for a target proximity epsilon0 at failure
-probability eta, for unit-ball signals (full frames) and k-sparse signals,
-their relaxed variants allowing r inconsistent measurements, the
-proportional-inconsistency constants, the unit-ball covering bound, and
-the saturated proximity predicted at a given measurement count.
+One measurement condition serves both signal sets: `k` alone chooses the
+covering term, `None` for the unit ball (full frames) and an integer for
+k-sparse ball signals.  The module gives the minimal measurement count for
+a target proximity epsilon0 at failure probability eta, optionally allowing
+r inconsistent measurements; the proportional-inconsistency constants; the
+unit-ball covering bound; and the saturated proximity predicted at a given
+measurement count.
 
 All logarithms are natural: the derivations cancel log against exp, which
 forces base e throughout.
@@ -16,43 +18,12 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "BoundParams",
     "RhoConstants",
-    "min_measurements_grfcq",
-    "min_measurements_qcs",
-    "min_measurements_relaxed",
+    "min_measurements",
     "rho_constants",
     "covering_bound",
     "predicted_eps",
 ]
-
-_MODES = ("grfcq", "qcs")
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs shared by the measurement-count formulas.
-
-    epsilon0: target proximity (> 0; necessarily <= 2 for unit-ball signals).
-    eta: failure probability in (0, 1).
-    delta: quantizer resolution (> 0).
-    n, k: ambient dimension and sparsity (k only for the sparse mode).
-    r: allowed number of inconsistent measurements (>= 0).
-    """
-
-    epsilon0: float
-    eta: float
-    delta: float
-    n: int
-    k: int | None = None
-    r: int = 0
-
-    def __post_init__(self):
-        _check_common(self.epsilon0, self.eta, self.delta, self.n)
-        if self.k is not None and not 1 <= self.k <= self.n:
-            raise ValueError(f"sparsity must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -80,68 +51,45 @@ def _check_common(epsilon0: float, eta: float, delta: float, n: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {n}")
 
 
+def _check_sparsity(k: int | None, n: int) -> None:
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"sparsity must satisfy 1 <= k <= n, got k={k}, n={n}")
+
+
 def _tail(eta: float) -> float:
     return math.log(1.0 / (2.0 * eta))
 
 
-def _complexity(epsilon0: float, n: int, k: int | None = None) -> float:
+def _complexity(epsilon0: float, n: int, k: int | None) -> float:
     """Covering term: n*ln(29*sqrt(n)/eps) for unit-ball signals (k None),
     2*k*ln(56*n/(sqrt(k)*eps)) for k-sparse ones."""
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= k <= n, got k={k}, n={n}")
     arg = 29.0 * math.sqrt(n) / epsilon0 if k is None else 56.0 * n / (math.sqrt(k) * epsilon0)
     if arg <= 1.0:
         raise ValueError(f"epsilon0 = {epsilon0} makes the covering log argument <= 1")
     return n * math.log(arg) if k is None else 2.0 * k * math.log(arg)
 
 
-def _condition(epsilon0: float, eta: float, delta: float, n: int, k: int | None) -> tuple[float, float]:
-    """(factor, complexity + tail) of the condition m >= factor*(complexity + tail)."""
-    return (4.0 * delta + 2.0 * epsilon0) / epsilon0, _complexity(epsilon0, n, k) + _tail(eta)
+def min_measurements(
+    epsilon0: float, eta: float, delta: float, n: int, k: int | None = None, r: int = 0
+) -> int:
+    """Measurements guaranteeing proximity epsilon0, allowing r inconsistent ones.
 
-
-def _strict_count(factor: float, base: float) -> int:
-    """The smallest m >= 1 with m >= factor*base."""
-    return max(1, math.ceil(factor * base))
-
-
-def min_measurements_grfcq(epsilon0: float, eta: float, delta: float, n: int) -> int:
-    """Measurements guaranteeing proximity epsilon0 for unit-ball signals.
-
-    Ceiling of (4*delta + 2*eps)/eps * (n*ln(29*sqrt(n)/eps) + ln(1/(2*eta))),
-    floored at 1.
+    With factor = (4*delta + 2*eps)/eps and base = complexity + ln(1/(2*eta)),
+    where the complexity is n*ln(29*sqrt(n)/eps) for unit-ball signals
+    (k None) and 2*k*ln(56*n/(sqrt(k)*eps)) for k-sparse ones, this is the
+    smallest m >= 1 with m >= r + factor*(r*ln(e*m/r) + base).  For r = 0
+    the r*ln(e*m/r) term is taken as 0, giving ceil(factor*base).  For
+    r > 0, m appears on both sides, so the value is found by fixed-point
+    iteration started from the r = 0 count, then walked down to the
+    smallest integer satisfying the inequality.
     """
     _check_common(epsilon0, eta, delta, n)
-    return _strict_count(*_condition(epsilon0, eta, delta, n, None))
-
-
-def min_measurements_qcs(epsilon0: float, eta: float, delta: float, n: int, k: int) -> int:
-    """Measurements guaranteeing proximity epsilon0 for k-sparse ball signals.
-
-    Same shape with complexity term 2*k*ln(56*n/(sqrt(k)*eps)).
-    """
-    _check_common(epsilon0, eta, delta, n)
-    if k is None:
-        raise ValueError("sparse mode requires k")
-    return _strict_count(*_condition(epsilon0, eta, delta, n, k))
-
-
-def min_measurements_relaxed(params: BoundParams, mode: str) -> int:
-    """Smallest m with m >= r + factor*(r*ln(e*m/r) + complexity + tail).
-
-    m appears on both sides, so the value is found by fixed-point iteration
-    started from the r = 0 count, then walked down to the smallest integer
-    satisfying the inequality.  For r = 0 the r*ln(e*m/r) term is taken as
-    0 and the strict formula is recovered exactly.
-    """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "qcs" and params.k is None:
-        raise ValueError("sparse mode requires k")
-    k = params.k if mode == "qcs" else None
-    factor, base = _condition(params.epsilon0, params.eta, params.delta, params.n, k)
-    r = params.r
-    m = _strict_count(factor, base)
+    _check_sparsity(k, n)
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    factor = (4.0 * delta + 2.0 * epsilon0) / epsilon0
+    base = _complexity(epsilon0, n, k) + _tail(eta)
+    m = max(1, math.ceil(factor * base))
     if r == 0:
         return m
 
@@ -188,24 +136,18 @@ def covering_bound(s: float, n: int) -> float:
     return (3.0 / s) ** n
 
 
-def predicted_eps(
-    m: int, eta: float, delta: float, n: int, k: int | None = None, mode: str = "grfcq"
-) -> float:
+def predicted_eps(m: int, eta: float, delta: float, n: int, k: int | None = None) -> float:
     """Proximity obtained by saturating the measurement condition at count m.
 
     Solves eps = (4*(delta+1)/m) * (complexity(eps) + tail) by damped
     fixed-point iteration from the upper bound eps = 2 (valid for ball
-    signals).  Raises for m below the count needed at eps = 2.
+    signals), with the covering term chosen by k as in min_measurements.
+    Raises for m below the count needed at eps = 2.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "qcs" and k is None:
-        raise ValueError("sparse mode requires k")
     _check_common(2.0, eta, delta, n)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-
-    k = k if mode == "qcs" else None
+    _check_sparsity(k, n)
 
     def f(eps: float) -> float:
         return (4.0 * (delta + 1.0) / m) * (_complexity(eps, n, k) + _tail(eta))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .quantizer import _encode_values
 from .randkit import Stream, gauss, uniform
 
 __all__ = [
@@ -48,6 +49,9 @@ __all__ = [
     "mixture_p1",
     "verify_bound_chain",
 ]
+
+# Gauss-Legendre nodes of the chi-mixture quadrature in mixture_p1.
+_MIXTURE_NODES = 256
 
 # Ball-to-segment ratio weight: chosen as the largest value for which the
 # crossing-probability bound stays nontrivial; fixes 2*s'/L = w/(2*kappa_n).
@@ -139,10 +143,10 @@ def _events(rows: np.ndarray, xi: np.ndarray, cfg: DumbbellConfig) -> np.ndarray
     half = cfg.radius * np.linalg.norm(rows, axis=1)
     cp = rows @ cfg.p
     cq = rows @ cfg.q
-    lo_p = np.floor((cp - half + xi) / cfg.delta)
-    hi_p = np.floor((cp + half + xi) / cfg.delta)
-    lo_q = np.floor((cq - half + xi) / cfg.delta)
-    hi_q = np.floor((cq + half + xi) / cfg.delta)
+    lo_p = _encode_values(cp - half + xi, cfg.delta)
+    hi_p = _encode_values(cp + half + xi, cfg.delta)
+    lo_q = _encode_values(cq - half + xi, cfg.delta)
+    hi_q = _encode_values(cq + half + xi, cfg.delta)
     return (hi_p >= lo_q) & (hi_q >= lo_p)
 
 
@@ -154,14 +158,24 @@ def dumbbell_consistent_event(phi_row: np.ndarray, xi: float, cfg: DumbbellConfi
     return bool(_events(phi_row[None, :], np.asarray([xi]), cfg)[0])
 
 
-def estimate_p1(cfg: DumbbellConfig, throws: int, stream: Stream) -> ProbEstimate:
-    """Single-projection event probability under phi ~ N(0,1)^n, xi ~ U[0, delta)."""
+def _throw(cfg: DumbbellConfig, throws: int, stream: Stream, phi_norm: float | None = None) -> ProbEstimate:
+    """Count events over `throws` rows (rescaled to phi_norm if given), drawn before their dithers."""
     if throws < 1:
         raise ValueError(f"throws must be >= 1, got {throws}")
+    if phi_norm is not None and not phi_norm > 0.0:
+        raise ValueError(f"phi_norm must be positive, got {phi_norm}")
     rows = gauss(stream, (throws, cfg.n))
+    if phi_norm is not None:
+        norms = np.linalg.norm(rows, axis=1)
+        norms[norms == 0.0] = 1.0  # probability-zero guard
+        rows = rows * (phi_norm / norms)[:, None]
     xi = uniform(stream, 0.0, cfg.delta, throws)
-    hits = int(_events(rows, xi, cfg).sum())
-    return ProbEstimate.from_hits(hits, throws)
+    return ProbEstimate.from_hits(int(_events(rows, xi, cfg).sum()), throws)
+
+
+def estimate_p1(cfg: DumbbellConfig, throws: int, stream: Stream) -> ProbEstimate:
+    """Single-projection event probability under phi ~ N(0,1)^n, xi ~ U[0, delta)."""
+    return _throw(cfg, throws, stream)
 
 
 def estimate_p1_conditional(
@@ -173,17 +187,7 @@ def estimate_p1_conditional(
     radius 0 and phi_norm 1 this is the classic needle-versus-grid
     non-crossing experiment at segment length ||p - q||/delta grid units.
     """
-    if throws < 1:
-        raise ValueError(f"throws must be >= 1, got {throws}")
-    if not phi_norm > 0.0:
-        raise ValueError(f"phi_norm must be positive, got {phi_norm}")
-    rows = gauss(stream, (throws, cfg.n))
-    norms = np.linalg.norm(rows, axis=1)
-    norms[norms == 0.0] = 1.0  # probability-zero guard
-    rows = rows * (phi_norm / norms)[:, None]
-    xi = uniform(stream, 0.0, cfg.delta, throws)
-    hits = int(_events(rows, xi, cfg).sum())
-    return ProbEstimate.from_hits(hits, throws)
+    return _throw(cfg, throws, stream, phi_norm)
 
 
 def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
@@ -234,16 +238,16 @@ def chi_pdf(phi: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def mixture_p1(alpha: float, rho_ratio: float, n: int, nodes: int = 256) -> float:
+def mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:
     """chi(n)-weighted average of the fixed-norm probability.
 
-    Gauss-Legendre on [0, chi_mean + 10*sqrt(n)]; the discarded tail mass
-    is below 1e-12.
+    Gauss-Legendre with _MIXTURE_NODES nodes on [0, chi_mean + 10*sqrt(n)];
+    the discarded tail mass is below 1e-12.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     upper = chi_mean(n) + 10.0 * math.sqrt(n)
-    t, wt = leggauss(nodes)
+    t, wt = leggauss(_MIXTURE_NODES)
     x = 0.5 * upper * (t + 1.0)
     w = 0.5 * upper * wt
     density = chi_pdf(x, n)

@@ -362,7 +362,6 @@ def empirical_worst_case(
     trials: int,
     num_directions: int,
     master_seed: int,
-    r: int = 0,
 ) -> WorstCaseResult:
     """Max width estimate over `trials` signals sampled from the model.
 
@@ -378,5 +377,5 @@ def empirical_worst_case(
         signal = sample_signal(model, stream)
         obs = sense(ensemble, signal)
         cell = build_cell(ensemble, obs.codes, ball_radius=1.0, support=signal.support)
-        widths[i] = estimate_width(cell, signal.x, num_directions, stream, r=r).value
+        widths[i] = estimate_width(cell, signal.x, num_directions, stream).value
     return WorstCaseResult(max_width=float(widths.max()), widths=widths)

@@ -22,15 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .bounds import (
-    BoundParams,
-    covering_bound,
-    min_measurements_grfcq,
-    min_measurements_qcs,
-    min_measurements_relaxed,
-    predicted_eps,
-    rho_constants,
-)
+from .bounds import covering_bound, min_measurements, predicted_eps, rho_constants
 from .buffon import verify_bound_chain
 from .experiments import (
     ExperimentConfig,
@@ -295,23 +287,25 @@ def _cmd_buffon(opts: dict) -> int:
     return 0
 
 
+# bounds count mode -> (reads --k, reads --r); a mode ignores the flags it does not read
+_COUNTS = {
+    "grfcq": (False, False),
+    "qcs": (True, False),
+    "relaxed-grfcq": (False, True),
+    "relaxed-qcs": (True, True),
+}
+
+
 def _cmd_bounds(opts: dict) -> int:
     mode = opts["mode"]
-    if mode == "grfcq":
-        value = min_measurements_grfcq(opts["eps0"], opts["eta"], opts["delta"], opts["n"])
-    elif mode == "qcs":
-        if opts["k"] is None:
-            raise CliError("mode qcs requires --k")
-        value = min_measurements_qcs(opts["eps0"], opts["eta"], opts["delta"], opts["n"], opts["k"])
-    elif mode in ("relaxed-grfcq", "relaxed-qcs"):
-        inner = "qcs" if mode.endswith("qcs") else "grfcq"
-        if inner == "qcs" and opts["k"] is None:
+    if mode in _COUNTS:
+        sparse, relaxed = _COUNTS[mode]
+        if sparse and opts["k"] is None:
             raise CliError(f"mode {mode} requires --k")
-        params = BoundParams(
-            epsilon0=opts["eps0"], eta=opts["eta"], delta=opts["delta"],
-            n=opts["n"], k=opts["k"], r=opts["r"],
+        value = min_measurements(
+            opts["eps0"], opts["eta"], opts["delta"], opts["n"],
+            k=opts["k"] if sparse else None, r=opts["r"] if relaxed else 0,
         )
-        value = min_measurements_relaxed(params, inner)
     elif mode == "rho":
         print(json.dumps(asdict(rho_constants(opts["rho"])), indent=2))
         return 0
@@ -320,8 +314,7 @@ def _cmd_bounds(opts: dict) -> int:
     elif mode == "predicted-eps":
         if opts["m"] is None:
             raise CliError("mode predicted-eps requires --m")
-        kind = "qcs" if opts["k"] is not None else "grfcq"
-        value = predicted_eps(opts["m"], opts["eta"], opts["delta"], opts["n"], k=opts["k"], mode=kind)
+        value = predicted_eps(opts["m"], opts["eta"], opts["delta"], opts["n"], k=opts["k"])
     else:
         raise CliError(f"unknown bounds mode {mode!r}")
     print(value)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import min_measurements_grfcq, predicted_eps
+from .bounds import min_measurements, predicted_eps
 from .cellgeom import build_cell, empirical_worst_case, estimate_width
 from .quantizer import QuantizerSpec, l1_discrepancy, quantization_error
 from .randkit import Stream, derive_stream
@@ -274,7 +274,8 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     widths of the cell relaxed to code discrepancy cfg.r (matched seeds keep
     per-trial instances identical across r, and r = 0 reproduces the strict
     widths).  Fits the log-log slope of per-M median widths and overlays the
-    saturated-proximity prediction where M is large enough for it.
+    saturated-proximity prediction for the signal set of cfg.k where M is
+    large enough for it.
     """
     if cfg.mode not in ("grfcq", "qcs", "relaxed"):
         raise ValueError(f"decay sweep supports modes grfcq/qcs/relaxed, got {cfg.mode!r}")
@@ -302,8 +303,7 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
         base = _column(recs, "baseline")
         base = base[np.isfinite(base)]
         try:
-            eps_kwargs = {"k": cfg.k, "mode": "qcs"} if cfg.mode == "qcs" else {}
-            predicted = predicted_eps(m, cfg.eta, cfg.delta, cfg.n, **eps_kwargs)
+            predicted = predicted_eps(m, cfg.eta, cfg.delta, cfg.n, k=cfg.k)
         except ValueError:
             predicted = None
         widths = _column(recs, "value")
@@ -402,7 +402,7 @@ def proximity_violation_scan(cfg: ExperimentConfig, threads: int = 1) -> Campaig
     The searcher is a lower-bound method, so the reported rate
     conservatively lower-bounds the true failure probability.
     """
-    m = min_measurements_grfcq(cfg.eps0, cfg.eta, cfg.delta, cfg.n)
+    m = min_measurements(cfg.eps0, cfg.eta, cfg.delta, cfg.n)
     spec = QuantizerSpec(cfg.delta)
     model = SignalModel.unit_ball(cfg.n)
 

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qconsist.bounds import (
-    BoundParams,
-    covering_bound,
-    min_measurements_grfcq,
-    min_measurements_qcs,
-    min_measurements_relaxed,
-    predicted_eps,
-    rho_constants,
-)
+from qconsist.bounds import covering_bound, min_measurements, predicted_eps, rho_constants
+from qconsist.cli import main
 
 
 # Second implementation, written from the formulas directly; the library must
@@ -28,8 +21,8 @@ def oracle_qcs(eps0, eta, delta, n, k):
     )
 
 
-def relaxed_rhs(m, eps0, eta, delta, n, k, r, mode):
-    if mode == "qcs":
+def relaxed_rhs(m, eps0, eta, delta, n, k, r):
+    if k is not None:
         base = 2 * k * math.log(56 * n / (math.sqrt(k) * eps0)) + math.log(1 / (2 * eta))
     else:
         base = n * math.log(29 * math.sqrt(n) / eps0) + math.log(1 / (2 * eta))
@@ -38,28 +31,28 @@ def relaxed_rhs(m, eps0, eta, delta, n, k, r, mode):
 
 
 def test_grfcq_anchor_value():
-    assert min_measurements_grfcq(0.5, 0.1, 1.0, 4) == 207  # ceil(10*(4*ln 116 + ln 5))
-    assert min_measurements_grfcq(0.5, 0.1, 1.0, 4) == oracle_grfcq(0.5, 0.1, 1.0, 4)
+    assert min_measurements(0.5, 0.1, 1.0, 4) == 207  # ceil(10*(4*ln 116 + ln 5))
+    assert min_measurements(0.5, 0.1, 1.0, 4) == oracle_grfcq(0.5, 0.1, 1.0, 4)
 
 
 def test_grfcq_monotone_in_eps():
-    base = min_measurements_grfcq(0.5, 0.1, 1.0, 4)
-    assert min_measurements_grfcq(0.25, 0.1, 1.0, 4) > base
+    base = min_measurements(0.5, 0.1, 1.0, 4)
+    assert min_measurements(0.25, 0.1, 1.0, 4) > base
 
 
 def test_grfcq_small_delta_limit():
-    tiny = min_measurements_grfcq(0.5, 0.1, 1e-12, 4)
+    tiny = min_measurements(0.5, 0.1, 1e-12, 4)
     limit = math.ceil(2.0 * (4 * math.log(116.0) + math.log(5.0)))
     assert tiny == limit
 
 
 def test_grfcq_domain_error():
     with pytest.raises(ValueError):
-        min_measurements_grfcq(100.0, 0.1, 1.0, 1)  # log argument below 1
+        min_measurements(100.0, 0.1, 1.0, 1)  # log argument below 1
     with pytest.raises(ValueError):
-        min_measurements_grfcq(0.5, 1.5, 1.0, 4)
+        min_measurements(0.5, 1.5, 1.0, 4)
     with pytest.raises(ValueError):
-        min_measurements_grfcq(-0.5, 0.1, 1.0, 4)
+        min_measurements(-0.5, 0.1, 1.0, 4)
 
 
 def test_cross_check_random_parameters():
@@ -70,24 +63,25 @@ def test_cross_check_random_parameters():
         delta = float(rng.uniform(0.1, 4.0))
         n = int(rng.integers(2, 64))
         k = int(rng.integers(1, n + 1))
-        assert min_measurements_grfcq(eps0, eta, delta, n) == max(1, oracle_grfcq(eps0, eta, delta, n))
-        assert min_measurements_qcs(eps0, eta, delta, n, k) == max(1, oracle_qcs(eps0, eta, delta, n, k))
+        assert min_measurements(eps0, eta, delta, n) == max(1, oracle_grfcq(eps0, eta, delta, n))
+        assert min_measurements(eps0, eta, delta, n, k) == max(1, oracle_qcs(eps0, eta, delta, n, k))
 
 
 def test_qcs_anchor_and_monotonicity():
-    assert min_measurements_qcs(0.5, 0.1, 1.0, 32, 3) == oracle_qcs(0.5, 0.1, 1.0, 32, 3)
-    assert min_measurements_qcs(0.5, 0.1, 1.0, 32, 4) > min_measurements_qcs(0.5, 0.1, 1.0, 32, 3)
-    assert min_measurements_qcs(0.5, 0.1, 1.0, 64, 3) > min_measurements_qcs(0.5, 0.1, 1.0, 32, 3)
+    assert min_measurements(0.5, 0.1, 1.0, 32, 3) == oracle_qcs(0.5, 0.1, 1.0, 32, 3)
+    assert min_measurements(0.5, 0.1, 1.0, 32, 4) > min_measurements(0.5, 0.1, 1.0, 32, 3)
+    assert min_measurements(0.5, 0.1, 1.0, 64, 3) > min_measurements(0.5, 0.1, 1.0, 32, 3)
 
 
-def test_qcs_requires_k():
-    with pytest.raises(ValueError):
-        min_measurements_qcs(0.5, 0.1, 1.0, 8, None)
+def test_k_none_selects_the_unit_ball():
+    assert min_measurements(0.5, 0.1, 1.0, 8, None) == oracle_grfcq(0.5, 0.1, 1.0, 8)
+    assert min_measurements(0.5, 0.1, 1.0, 8, None, 2) == min_measurements(0.5, 0.1, 1.0, 8, r=2)
+    assert predicted_eps(10_000, 0.1, 1.0, 8, None) == predicted_eps(10_000, 0.1, 1.0, 8)
 
 
 def test_qcs_comparable_to_grfcq_at_full_sparsity():
     for n in (4, 8, 16):
-        ratio = min_measurements_qcs(0.5, 0.1, 1.0, n, n) / min_measurements_grfcq(0.5, 0.1, 1.0, n)
+        ratio = min_measurements(0.5, 0.1, 1.0, n, n) / min_measurements(0.5, 0.1, 1.0, n)
         assert 1.0 <= ratio <= 3.0
 
 
@@ -98,31 +92,35 @@ def test_relaxed_reduces_to_strict_at_r_zero():
         eta = float(rng.uniform(0.01, 0.45))
         delta = float(rng.uniform(0.1, 3.0))
         n = int(rng.integers(2, 48))
-        params = BoundParams(epsilon0=eps0, eta=eta, delta=delta, n=n, r=0)
-        assert min_measurements_relaxed(params, "grfcq") == min_measurements_grfcq(eps0, eta, delta, n)
+        assert min_measurements(eps0, eta, delta, n, r=0) == max(1, oracle_grfcq(eps0, eta, delta, n))
         k = int(rng.integers(1, n + 1))
-        params_k = BoundParams(epsilon0=eps0, eta=eta, delta=delta, n=n, k=k, r=0)
-        assert min_measurements_relaxed(params_k, "qcs") == min_measurements_qcs(eps0, eta, delta, n, k)
+        assert min_measurements(eps0, eta, delta, n, k, r=0) == max(1, oracle_qcs(eps0, eta, delta, n, k))
 
 
 def test_relaxed_nondecreasing_in_r_and_self_consistent():
-    previous = 0
-    for r in (0, 1, 2, 4, 8):
-        params = BoundParams(epsilon0=0.5, eta=0.1, delta=1.0, n=8, r=r)
-        m = min_measurements_relaxed(params, "grfcq")
-        assert m >= previous
-        previous = m
-        # substitute-and-verify: m satisfies the inequality, m-1 does not
-        assert m >= relaxed_rhs(m, 0.5, 0.1, 1.0, 8, None, r, "grfcq")
-        assert (m - 1) < relaxed_rhs(m - 1, 0.5, 0.1, 1.0, 8, None, r, "grfcq")
+    for k in (None, 3):
+        previous = 0
+        for r in (0, 1, 2, 4, 8):
+            m = min_measurements(0.5, 0.1, 1.0, 8, k, r)
+            assert m >= previous
+            previous = m
+            # substitute-and-verify: m satisfies the inequality, m-1 does not
+            assert m >= relaxed_rhs(m, 0.5, 0.1, 1.0, 8, k, r)
+            assert (m - 1) < relaxed_rhs(m - 1, 0.5, 0.1, 1.0, 8, k, r)
 
 
-def test_relaxed_qcs_mode_requires_k():
-    params = BoundParams(epsilon0=0.5, eta=0.1, delta=1.0, n=8, r=2)
-    with pytest.raises(ValueError):
-        min_measurements_relaxed(params, "qcs")
-    with pytest.raises(ValueError):
-        min_measurements_relaxed(params, "other")
+def test_relaxed_qcs_mode_requires_k(capsys):
+    # the library needs a valid k for the sparse count, and names k before r
+    for k in (0, 9):
+        with pytest.raises(ValueError, match="sparsity must satisfy 1 <= k <= n"):
+            min_measurements(0.5, 0.1, 1.0, 8, k, r=2)
+        with pytest.raises(ValueError, match="sparsity"):
+            min_measurements(0.5, 0.1, 1.0, 8, k, r=-1)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        min_measurements(0.5, 0.1, 1.0, 8, 3, r=-1)
+    # the CLI's sparse modes refuse to run without --k
+    assert main(["bounds", "--mode", "relaxed-qcs", "--n", "8", "--r", "2"]) == 1
+    assert capsys.readouterr().err == "qconsist: error: mode relaxed-qcs requires --k\n"
 
 
 def test_rho_constants_anchor_and_limits():
@@ -173,9 +171,9 @@ def test_covering_bound():
 
 
 def test_predicted_eps_solves_the_saturation_equation():
-    for mode, k in (("grfcq", None), ("qcs", 3)):
-        eps = predicted_eps(10_000, 0.1, 1.0, 8, k=k, mode=mode)
-        if mode == "qcs":
+    for k in (None, 3):
+        eps = predicted_eps(10_000, 0.1, 1.0, 8, k=k)
+        if k is not None:
             base = 2 * 3 * math.log(56 * 8 / (math.sqrt(3) * eps)) + math.log(1 / 0.2)
         else:
             base = 8 * math.log(29 * math.sqrt(8) / eps) + math.log(1 / 0.2)
@@ -189,5 +187,5 @@ def test_predicted_eps_monotone_and_guarded():
     assert values[0] > values[1] > values[2]
     with pytest.raises(ValueError):
         predicted_eps(10, 0.1, 1.0, 8)
-    with pytest.raises(ValueError):
-        predicted_eps(10_000, 0.1, 1.0, 8, mode="qcs")  # k missing
+    with pytest.raises(ValueError, match="sparsity"):
+        predicted_eps(10_000, 0.1, 1.0, 8, k=9)  # k above n

@@ -134,6 +134,14 @@ def test_estimate_p1_certain_when_centers_coincide():
     assert est.stderr == 0.0
 
 
+def test_non_finite_centre_raises_instead_of_separating():
+    cfg = DumbbellConfig(n=3, p=np.array([np.nan, 0.0, 0.0]), q=np.ones(3), radius=0.1, delta=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_p1(cfg, 100, Stream(1))
+    with pytest.raises(ValueError, match="non-finite"):
+        dumbbell_consistent_event(np.ones(3), 0.5, cfg)
+
+
 def test_conditional_unit_norm_reduces_to_classic_needle():
     cfg = segment_config(2, 0.5, 0.0)
     est = estimate_p1_conditional(cfg, 200_000, Stream(2))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qconsist
-from qconsist.bounds import min_measurements_grfcq
+from qconsist.bounds import min_measurements, predicted_eps
 from qconsist.cli import main
 from qconsist.experiments import CSV_HEADER
 from qconsist.sensing import load_ensemble
@@ -24,7 +24,7 @@ def run_cli(capsys, *argv):
 def test_bounds_prints_the_formula_value(capsys):
     code, out, err = run_cli(capsys, "bounds", "--mode", "grfcq", "--n", "4", "--eps0", "0.5", "--eta", "0.1", "--delta", "1")
     assert code == 0
-    assert int(out.strip()) == min_measurements_grfcq(0.5, 0.1, 1.0, 4)
+    assert int(out.strip()) == min_measurements(0.5, 0.1, 1.0, 4)
     assert err == ""
 
 
@@ -38,6 +38,20 @@ def test_bounds_other_modes(capsys):
     assert 4.17 < payload["c_rho"] < 4.2
     code, out, _ = run_cli(capsys, "bounds", "--mode", "qcs", "--n", "32", "--k", "3")
     assert code == 0 and int(out.strip()) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--mode", "relaxed-grfcq", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 8, r=2)),
+        (("--mode", "relaxed-qcs", "--k", "3", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 8, 3, 2)),
+        (("--mode", "predicted-eps", "--m", "10000"), lambda: predicted_eps(10_000, 0.1, 1.0, 8)),
+        (("--mode", "predicted-eps", "--m", "10000", "--k", "3"), lambda: predicted_eps(10_000, 0.1, 1.0, 8, 3)),
+    ],
+)
+def test_bounds_mode_prints_the_library_value(capsys, argv, expected):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert (code, out, err) == (0, f"{expected()}\n", "")
 
 
 def test_unknown_subcommand_exits_one(capsys):

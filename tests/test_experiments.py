@@ -129,6 +129,15 @@ def test_qcs_sweep_requires_k_and_restricts_support():
     assert all(rec.k == 2 for rec in result.records)
 
 
+def test_sparse_relaxed_overlay_matches_qcs():
+    sizes = dict(n=32, k=3, m_list=(2048, 8192), trials=2, directions=8)
+    qcs = decay_sweep(small_cfg(mode="qcs", **sizes))
+    relaxed = decay_sweep(small_cfg(mode="relaxed", r=0, **sizes))
+    predicted = [[row["predicted_eps"] for row in res.summary["per_m"]] for res in (qcs, relaxed)]
+    assert predicted[0] == predicted[1]
+    assert predicted[0][-1] < 0.1  # the sparse term, well below the unit-ball value
+
+
 def test_bias_zero_offset_gives_zero_discrepancy():
     cfg = small_cfg(mode="bias", n=6, lam=0.0, m_list=(64, 128), trials=4)
     result = bias_experiment(cfg)
