@@ -73,12 +73,14 @@ class QuantizedObservation:
 
 
 def _encode_values(values: np.ndarray, delta: float) -> np.ndarray:
-    scaled = np.asarray(values, dtype=np.float64) / delta
-    if not np.all(np.isfinite(scaled)):
-        raise ValueError("cannot quantize non-finite values")
-    if np.any(np.abs(scaled) >= _CODE_LIMIT):
+    scaled = np.array(values, dtype=np.float64)
+    scaled /= delta
+    # one guard pass; NaN fails it too, and only then is the cause looked up
+    if not np.all(np.abs(scaled) < _CODE_LIMIT):
+        if not np.all(np.isfinite(scaled)):
+            raise ValueError("cannot quantize non-finite values")
         raise ValueError("input magnitude exceeds the 2**62 code guard; refusing to wrap")
-    return np.floor(scaled).astype(np.int64)
+    return np.floor(scaled, out=scaled).astype(np.int64)
 
 
 def encode(lam: float, spec: QuantizerSpec) -> int:

@@ -1,11 +1,17 @@
 """Feasibility solvers: fixed points, convergence, enumeration, baseline."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qconsist.cellgeom import _BALL_TOL, build_cell, verified_member
 from qconsist.quantizer import QuantizerSpec, _encode_values
 from qconsist.randkit import Stream
 from qconsist.reconstruct import (
+    _DENSE_SHARE,
     EnumerationCapError,
     NoConsistentSolutionError,
     SingularMatrixError,
@@ -200,3 +206,146 @@ def test_linear_baseline_rmse_decays_like_inverse_sqrt():
         medians.append(np.median(errors))
     slope = np.polyfit(np.log(m_values), np.log(medians), 1)[0]
     assert -0.65 < slope < -0.35
+
+
+def scalar_pocs(cell, tol=None, max_iter=100_000, x0=None):
+    """Oracle: every cycle steps through every row by its own dot product.
+
+    Returns (x_star, iterations, consistent, residual) and the number of
+    rows that moved u in each cycle.
+    """
+    margin = 1e-9 * cell.delta if tol is None else float(tol)
+    phi = np.ascontiguousarray(cell.active_phi())
+    row_norm2 = np.einsum("ij,ij->i", phi, phi)
+    u = np.zeros(cell.active_dim()) if x0 is None else cell.restrict(np.asarray(x0, dtype=np.float64)).copy()
+
+    def verified(v):
+        return verified_member(cell, v, ball_tol=_BALL_TOL, phi=phi)
+
+    def max_violation(v):
+        y = phi @ v
+        slab = max(0.0, float(np.max(cell.lo - y, initial=0.0)), float(np.max(y - cell.hi, initial=0.0)))
+        return max(slab, float(np.linalg.norm(v)) - cell.ball_radius, 0.0)
+
+    moved = []
+    if verified(u):
+        return (cell.embed(u), 0, True, max_violation(u)), moved
+    iterations = 0
+    consistent = False
+    target_lo = cell.lo + margin
+    target_hi = cell.hi - margin
+    for iterations in range(1, max_iter + 1):
+        moved.append(0)
+        for j in range(cell.m):
+            y = float(phi[j] @ u)
+            c = min(max(y, target_lo[j]), target_hi[j])
+            if y != c:
+                if row_norm2[j] == 0.0:
+                    continue
+                u -= ((y - c) / row_norm2[j]) * phi[j]
+                moved[-1] += 1
+        changed = moved[-1] > 0
+        nrm = float(np.linalg.norm(u))
+        if nrm > cell.ball_radius:
+            u *= cell.ball_radius / nrm
+            changed = True
+        if verified(u):
+            consistent = True
+            break
+        if not changed:
+            break
+    return (cell.embed(u), iterations, consistent, max_violation(u)), moved
+
+
+def assert_matches_scalar_pocs(ens, codes, support, tol, max_iter, x0):
+    if support is None:
+        got = pocs_consistent(ens, codes, tol=tol, max_iter=max_iter, x0=x0)
+    else:
+        got = pocs_on_support(ens, codes, support, tol=tol, max_iter=max_iter, x0=x0)
+    (x_star, iterations, consistent, residual), moved = scalar_pocs(build_cell(ens, codes, 1.0, support), tol, max_iter, x0)
+    assert np.array_equal(got.x_star, x_star)
+    assert (got.iterations, got.consistent, got.residual) == (iterations, consistent, residual)
+    return moved
+
+
+@st.composite
+def pocs_instances(draw):
+    """(ensemble, codes, support, tol, max_iter, x0) for one POCS solve.
+
+    Lattice instances draw dyadic rows, dithers, margins and points, so
+    products land exactly on slab ends; a zeroed column makes supports whose
+    rows all have row_norm2 == 0, and a start point may sit exactly on row
+    0's lower target end.  Random instances draw delta log-uniform in
+    [1e-6, 4] and a support that may miss the signal's, so that POCS can get
+    stuck or run out of a small max_iter.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        delta = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        values = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
+        points = st.lists(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5]), min_size=n, max_size=n)
+        phi = np.asarray(draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=8)))
+        phi = np.vstack([phi, phi[: draw(st.integers(0, len(phi)))]])
+        if draw(st.booleans()):
+            phi[:, draw(st.integers(0, n - 1))] = 0.0
+        xi = delta * np.asarray(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=len(phi), max_size=len(phi))))
+        tol = delta * draw(st.sampled_from([0.125, 0.25]))
+        truth = np.asarray(draw(points))
+        codes = _encode_values(phi @ truth + xi, delta)
+        x0 = np.asarray(draw(points)) if draw(st.booleans()) else None
+        if x0 is not None and draw(st.booleans()):
+            # put x0 on row 0's lower target end: delta*code - xi + tol
+            v = float(phi[0] @ x0) - tol
+            codes[0] = math.ceil(v / delta)
+            xi[0] = delta * codes[0] - v
+        ens = manual_ensemble(phi, xi, delta)
+    else:
+        delta = 10.0 ** draw(st.floats(-6.0, math.log10(4.0)))
+        ens = gen_ensemble(draw(st.integers(1, 120)), n, QuantizerSpec(delta), draw(st.integers(0, 2**63)))
+        if draw(st.booleans()):
+            repeats = draw(st.integers(1, ens.m))
+            ens = manual_ensemble(np.vstack([ens.phi, ens.phi[:repeats]]), np.concatenate([ens.xi, ens.xi[:repeats]]), delta)
+        model = SignalModel.sparse_ball(n, draw(st.integers(1, n)))
+        codes = sense(ens, sample_signal(model, Stream(draw(st.integers(0, 2**63))))).codes
+        tol = draw(st.sampled_from([None, delta * 1e-3]))
+        x0 = sample_signal(SignalModel.unit_ball(n), Stream(draw(st.integers(0, 2**63)))).x if draw(st.booleans()) else None
+    support = None
+    if draw(st.booleans()):
+        support = np.asarray(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
+    return ens, codes, support, tol, draw(st.integers(1, 300)), x0
+
+
+@given(pocs_instances())
+@example((manual_ensemble([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), np.array([0, 1]), None, 0.125, 50, np.array([0.125, 0.5])))
+@example((manual_ensemble([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0]), np.array([0, 1]), np.array([1]), None, 500, None))
+def test_screened_pocs_equals_the_scalar_loop(instance):
+    assert_matches_scalar_pocs(*instance)
+
+
+@pytest.mark.parametrize(
+    "m, n, k, seed, support, max_iter, returns",
+    [
+        (128, 8, 8, 9128, None, 100_000, False),  # feasible: moves on many rows, then on few
+        (40, 10, 2, 5001, (4, 9), 200, True),  # infeasible enumeration supports: few, then many again
+        (40, 10, 2, 5013, (2, 3), 200, True),
+    ],
+)
+def test_screened_pocs_equals_the_scalar_loop_across_dense_and_screened_cycles(m, n, k, seed, support, max_iter, returns):
+    ens = gen_ensemble(m, n, UNIT, seed)
+    codes = sense(ens, sample_signal(SignalModel.sparse_ball(n, k), Stream(seed + 1000))).codes
+    support = None if support is None else np.asarray(support)
+    moved = assert_matches_scalar_pocs(ens, codes, support, None, max_iter, None)
+    dense = [count >= m * _DENSE_SHARE for count in moved]
+    assert dense[0] and not all(dense)
+    assert any(not a and b for a, b in zip(dense, dense[1:])) == returns
+
+
+def test_screened_pocs_equals_the_scalar_loop_on_repeated_rows():
+    # The repeat of a row just stepped onto its slab end lies a few ulps from
+    # that end, where two dot products of the row and u round differently:
+    # a screen without its pad would skip rows the exact step moves.
+    for seed in range(9000, 9010):
+        ens = gen_ensemble(32, 4, QuantizerSpec(1e-3), seed)
+        ens = manual_ensemble(np.vstack([ens.phi, ens.phi[:8]]), np.concatenate([ens.xi, ens.xi[:8]]), 1e-3)
+        codes = sense(ens, sample_signal(SignalModel.unit_ball(4), Stream(seed + 1000))).codes
+        assert_matches_scalar_pocs(ens, codes, None, None, 300, None)
