@@ -25,7 +25,6 @@ from .cellgeom import (
     ConsistencyCell,
     WidthEstimate,
     WorstCaseResult,
-    ball_cell,
     build_cell,
     cell_contains,
     empirical_worst_case,

@@ -8,7 +8,10 @@ constraint is a slab on the coordinate phi_j . u:
     lo_j <= phi_j . u < hi_j,   lo_j = delta*code_j - xi_j,  hi_j = lo_j + delta.
 
 The relaxed cell at level r admits vectors whose codes differ from the
-target by at most r unit steps in l1.
+target by at most r unit steps in l1.  Every cell is built from an
+ensemble, and keeps the sensing columns on its support once, as `phi`.
+Membership has one test, verified_member: the ball norm, then the l1
+distance of integer codes.
 
 Rays from an interior point exit the cell in closed form: each slab with
 directional gradient g = phi_j . d bounds t by (hi_j - w_j)/g for g > 0 or
@@ -46,10 +49,8 @@ __all__ = [
     "WorstCaseResult",
     "NotInCellError",
     "build_cell",
-    "ball_cell",
     "cell_contains",
     "verified_member",
-    "code_discrepancy",
     "ray_exit_strict",
     "ray_exit_relaxed",
     "estimate_width",
@@ -73,16 +74,21 @@ class NotInCellError(ValueError):
 class ConsistencyCell:
     """Slab + ball + optional support description of one consistency cell.
 
-    `ensemble` is None for the unconstrained ball (no slabs), used as the
-    degenerate base case.  `support`, when set, restricts the cell to the
-    subspace of vectors supported on those indices.  `dim` is the ambient
-    dimension.
+    `support`, when set, restricts the cell to the subspace of vectors
+    supported on those indices, and `phi` holds the sensing matrix's columns
+    on it (all of `ensemble.phi` itself for a free cell), so `phi.shape[1]`
+    is the active dimension.  The support columns are the F-order slice
+    `ensemble.phi[:, support]`, built once: ray exits multiply with it as
+    is, and POCS with its C-order copy.  The two layouts round some
+    products differently in the last bit, and the artifacts depend on each
+    keeping its own.  `dim` is the ambient dimension.
     """
 
-    ensemble: SensingEnsemble | None
+    ensemble: SensingEnsemble
     codes: np.ndarray
     ball_radius: float
     support: np.ndarray | None
+    phi: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     dim: int
@@ -93,18 +99,7 @@ class ConsistencyCell:
 
     @property
     def delta(self) -> float:
-        return self.ensemble.spec.delta if self.ensemble is not None else float("nan")
-
-    def active_phi(self) -> np.ndarray:
-        """Rows restricted to the support coordinates (all columns if free)."""
-        if self.ensemble is None:
-            return np.zeros((0, self.active_dim()))
-        if self.support is None:
-            return self.ensemble.phi
-        return self.ensemble.phi[:, self.support]
-
-    def active_dim(self) -> int:
-        return self.dim if self.support is None else int(self.support.shape[0])
+        return self.ensemble.spec.delta
 
     def on_support(self, u: np.ndarray) -> bool:
         """Whether a full-dimension vector is zero off the support."""
@@ -150,51 +145,27 @@ def build_cell(
         codes=codes,
         ball_radius=float(ball_radius),
         support=support,
+        phi=ensemble.phi if support is None else ensemble.phi[:, support],
         lo=lo,
         hi=lo + delta,
         dim=ensemble.n,
     )
 
 
-def ball_cell(n: int, ball_radius: float = 1.0) -> ConsistencyCell:
-    """Cell with no slab constraints: the radius-R ball in R^n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return ConsistencyCell(
-        ensemble=None,
-        codes=np.zeros(0, dtype=np.int64),
-        ball_radius=float(ball_radius),
-        support=None,
-        lo=np.zeros(0),
-        hi=np.zeros(0),
-        dim=int(n),
-    )
-
-
-def code_discrepancy(cell: ConsistencyCell, u: np.ndarray, phi: np.ndarray | None = None) -> int:
-    """l1 code distance between u's observation and the cell's target codes.
-
-    `phi` defaults to the full sensing matrix; a caller working in active
-    coordinates passes the support columns it multiplies with (a C-order
-    copy and the F-order slice of the same columns round differently).
-    """
-    if cell.ensemble is None:
-        return 0
-    phi = cell.ensemble.phi if phi is None else phi
-    codes_u = _encode_values(phi @ u + cell.ensemble.xi, cell.delta)
-    return int(np.abs(codes_u - cell.codes).sum())
-
-
 def verified_member(
     cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: float = 0.0, phi: np.ndarray | None = None
 ) -> bool:
-    """The membership test: ||u|| <= R + ball_tol and code discrepancy <= r.
+    """The membership test: ||u|| <= R + ball_tol and l1 code distance <= r.
 
-    Codes are compared as integers; `u` and `phi` are as in code_discrepancy.
+    Codes are compared as integers.  `phi` defaults to the full sensing
+    matrix; a caller working in active coordinates passes the support
+    columns it multiplies with (see ConsistencyCell on their layout).
     """
     if float(np.linalg.norm(u)) > cell.ball_radius + ball_tol:
         return False
-    return code_discrepancy(cell, u, phi) <= r
+    phi = cell.ensemble.phi if phi is None else phi
+    codes_u = _encode_values(phi @ u + cell.ensemble.xi, cell.delta)
+    return int(np.abs(codes_u - cell.codes).sum()) <= r
 
 
 def cell_contains(cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: float = 0.0) -> bool:
@@ -216,17 +187,13 @@ def _ball_exits(x0: np.ndarray, directions: np.ndarray, radius: float) -> np.nda
 def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray, r: int) -> np.ndarray:
     """Exit times for unit direction columns, in active coordinates."""
     t_ball = _ball_exits(x0_act, directions, cell.ball_radius)
-    if cell.m == 0:
-        return t_ball
-    phi = cell.active_phi()
-    w = phi @ x0_act
-    g = phi @ directions
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first = np.where(
-            g > 0.0,
-            (cell.hi[:, None] - w[:, None]) / g,
-            np.where(g < 0.0, (cell.lo[:, None] - w[:, None]) / g, np.inf),
-        )
+    w = cell.phi @ x0_act
+    g = cell.phi @ directions
+    # the slab end ahead of each ray; g == 0 rows never cross, and a
+    # subnormal g may overflow the quotient to inf
+    end = np.where(g > 0.0, (cell.hi - w)[:, None], (cell.lo - w)[:, None])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        first = np.where(g != 0.0, end / g, np.inf)
     # membership guarantees lo <= w < hi up to rounding; clamp the ulp-level
     # negatives that exact-boundary origins can produce
     first = np.maximum(first, 0.0)
@@ -242,13 +209,13 @@ def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray
         cols = np.arange(directions.shape[1])
         first, g = first[near, cols], g[near, cols]
     # First r+1 crossings per kept row; kth index r selects the (r+1)-th
-    # smallest of them per direction.
+    # smallest of them per direction.  The spacing is capped at the largest
+    # double so that a g == 0 row (or a delta/|g| that overflows) adds
+    # 0, not inf*0 = nan, to its first crossing.
     steps = np.arange(r + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spacing = np.where(g != 0.0, cell.delta / np.abs(g), np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        spacing = np.minimum(cell.delta / np.abs(g), np.finfo(np.float64).max)
         candidates = first[:, :, None] + spacing[:, :, None] * steps
-    # g == 0 rows produce inf + inf*0 = nan; those measurements never cross.
-    candidates = np.where(np.isnan(candidates), np.inf, candidates)
     flat = candidates.transpose(1, 0, 2).reshape(directions.shape[1], -1)
     t_cross = np.partition(flat, r, axis=1)[:, r]
     return np.minimum(t_cross, t_ball)
@@ -325,7 +292,7 @@ def estimate_width(
     center = np.asarray(center, dtype=np.float64)
     if not cell_contains(cell, center):
         raise NotInCellError("width center is not a member of the cell")
-    dim = cell.active_dim()
+    dim = cell.phi.shape[1]
     rand = _random_directions(stream, dim, num_directions)
     axes = np.hstack([np.eye(dim), -np.eye(dim)])
     directions = np.hstack([rand, axes])

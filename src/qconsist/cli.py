@@ -109,12 +109,13 @@ def _merge(args: argparse.Namespace, keys: list[Key]) -> dict:
     return merged
 
 
-def _common_keys(default_out: str | None) -> list[Key]:
-    return [
-        Key("seed", "int", 0, "master seed, unsigned 64-bit"),
-        Key("threads", "int", os.cpu_count() or 1, "worker thread cap; results are independent of it"),
-        Key("out", "str", default_out, "output path"),
-    ]
+# Each subcommand declares only the keys it reads.
+_SEED = Key("seed", "int", 0, "master seed, unsigned 64-bit")
+_THREADS = Key("threads", "int", os.cpu_count() or 1, "worker thread cap; results are independent of it")
+
+
+def _out(default: str | None = None) -> Key:
+    return Key("out", "str", default, "output path")
 
 
 # Shared by the width sweeps, decay and relaxed.
@@ -129,7 +130,7 @@ _WIDTH_KEYS = [
 ]
 
 _KEYS: dict[str, list[Key]] = {
-    "sense": _common_keys(None)
+    "sense": [_SEED, _out()]
     + [
         Key("n", "int", 8, "signal dimension"),
         Key("m", "int", 64, "number of measurements"),
@@ -137,7 +138,7 @@ _KEYS: dict[str, list[Key]] = {
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
         Key("dump_ensemble", "str", None, "write the ensemble in binary form to this path"),
     ],
-    "reconstruct": _common_keys(None)
+    "reconstruct": [_SEED, _out()]
     + [
         Key("n", "int", 8, "signal dimension"),
         Key("m", "int", 64, "number of measurements"),
@@ -146,11 +147,10 @@ _KEYS: dict[str, list[Key]] = {
         Key("tol", "float", None, "slab interior margin; default 1e-9*delta"),
         Key("max_iter", "int", None, "projection-cycle cap; default 100000, or 200 per support with --k"),
     ],
-    "decay": _common_keys("decay.csv") + _WIDTH_KEYS,
-    "relaxed": _common_keys("relaxed.csv")
-    + _WIDTH_KEYS
+    "decay": [_SEED, _THREADS, _out("decay.csv"), *_WIDTH_KEYS],
+    "relaxed": [_SEED, _THREADS, _out("relaxed.csv"), *_WIDTH_KEYS]
     + [Key("r", "int", 2, "allowed code discrepancy (integer steps)")],
-    "bias": _common_keys("bias.csv")
+    "bias": [_SEED, _THREADS, _out("bias.csv")]
     + [
         Key("n", "int", 8, "signal dimension"),
         Key("k", "int", 2, "sparsity of the test signals"),
@@ -159,14 +159,13 @@ _KEYS: dict[str, list[Key]] = {
         Key("trials", "int", 200, "trials per M"),
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
     ],
-    "buffon": _common_keys(None)
+    "buffon": [_SEED, _out()]
     + [
         Key("n", "int", 4, "ambient dimension, >= 2"),
         Key("alpha", "float", 2.0, "center distance in resolution units, > 0"),
         Key("throws", "int", 100_000, "Monte Carlo throws"),
     ],
-    "bounds": _common_keys(None)
-    + [
+    "bounds": [
         Key("mode", "str", "grfcq", "grfcq | qcs | relaxed-grfcq | relaxed-qcs | rho | covering | predicted-eps"),
         Key("eps0", "float", 0.5, "target proximity, > 0"),
         Key("eta", "float", 0.1, "failure probability, in (0,1)"),
@@ -178,14 +177,14 @@ _KEYS: dict[str, list[Key]] = {
         Key("rho", "float", 0.1, "inconsistency fraction (rho mode), in (0,1)"),
         Key("s", "float", 1.5, "covering radius (covering mode), in (0,3]"),
     ],
-    "noise": _common_keys("noise.csv")
+    "noise": [_SEED, _THREADS, _out("noise.csv")]
     + [
         Key("n", "int", 8, "signal dimension"),
         Key("m_list", "ints", (1000,), "comma-separated measurement counts, strictly ascending"),
         Key("trials", "int", 1000, "trials per M"),
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
     ],
-    "check": _common_keys("check-artifacts"),
+    "check": [_SEED, _THREADS, _out("check-artifacts")],
 }
 
 
@@ -380,9 +379,9 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         opts = _merge(args, _KEYS[args.command])
-        if not 0 <= opts["seed"] < 2**64:
+        if "seed" in opts and not 0 <= opts["seed"] < 2**64:
             raise CliError("--seed must be an unsigned 64-bit integer")
-        if opts["threads"] < 1:
+        if "threads" in opts and opts["threads"] < 1:
             raise CliError("--threads must be >= 1")
         if args.command == "check":
             return _cmd_check(opts, "full" if args.full else "quick")

@@ -105,11 +105,12 @@ def _pocs(
     ball_radius = cell.ball_radius
     # contiguous copy: keeps BLAS summation order identical to the
     # unrestricted path, so support=[n] reproduces pocs_consistent bitwise
-    phi = np.ascontiguousarray(cell.active_phi())
+    phi = np.ascontiguousarray(cell.phi)
     row_norm2 = np.einsum("ij,ij->i", phi, phi)
+    m, d = phi.shape
 
     if x0 is None:
-        u = np.zeros(cell.active_dim())
+        u = np.zeros(d)
     else:
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape != (cell.dim,):
@@ -127,7 +128,6 @@ def _pocs(
     if verified(u):
         return ReconstructionResult(x_star=cell.embed(u), iterations=0, consistent=True, residual=max_violation(u))
 
-    m, d = phi.shape
     target_lo = cell.lo + margin
     target_hi = cell.hi - margin
     # The row screen's pad, twice the bound on how far two dot products of
@@ -158,6 +158,8 @@ def _pocs(
             j = todo[i]
             i += 1
             y = float(rows[j] @ u)
+            if lo_t[j] <= y <= hi_t[j]:
+                continue
             c = min(max(y, lo_t[j]), hi_t[j])
             # a row with norm2 == 0 is invisible on this support; nothing can fix it
             if y != c and norm2[j] != 0.0:

@@ -67,6 +67,18 @@ def test_missing_required_flag_value_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("bounds", "--mode", "grfcq", "--n", "4", "--out", "x.txt"), "--out"), (("sense", "--threads", "2"), "--threads")],
+)
+def test_flag_a_subcommand_does_not_read_exits_one(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag}" in err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_bad_numeric_flag_exits_one(capsys):
     code, _, err = run_cli(capsys, "decay", "--trials", "many")
     assert code == 1

@@ -215,9 +215,9 @@ def scalar_pocs(cell, tol=None, max_iter=100_000, x0=None):
     rows that moved u in each cycle.
     """
     margin = 1e-9 * cell.delta if tol is None else float(tol)
-    phi = np.ascontiguousarray(cell.active_phi())
+    phi = np.ascontiguousarray(cell.phi)
     row_norm2 = np.einsum("ij,ij->i", phi, phi)
-    u = np.zeros(cell.active_dim()) if x0 is None else cell.restrict(np.asarray(x0, dtype=np.float64)).copy()
+    u = np.zeros(cell.phi.shape[1]) if x0 is None else cell.restrict(np.asarray(x0, dtype=np.float64)).copy()
 
     def verified(v):
         return verified_member(cell, v, ball_tol=_BALL_TOL, phi=phi)
