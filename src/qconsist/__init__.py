@@ -14,7 +14,6 @@ from .buffon import (
     conditional_integral,
     dumbbell_consistent_event,
     estimate_p1,
-    estimate_p1_conditional,
     kappa,
     consistent_pair_bound,
     dumbbell_radius,

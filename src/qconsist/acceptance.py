@@ -23,7 +23,6 @@ from .bounds import rho_constants
 from .buffon import (
     DumbbellConfig,
     estimate_p1,
-    estimate_p1_conditional,
     kappa,
     consistent_pair_bound,
     dumbbell_radius,
@@ -200,7 +199,7 @@ def criterion_error_law(run: _Run) -> tuple[bool, str]:
 def criterion_classic_buffon(run: _Run) -> tuple[bool, str]:
     """C3: radius-0 dumbbell at unit projector norm vs the 1 - 1/pi closed form."""
     cfg = DumbbellConfig(n=2, p=np.zeros(2), q=np.array([0.5, 0.0]), radius=0.0, delta=1.0)
-    est = estimate_p1_conditional(cfg, run.tier.buffon_throws, Stream(run.seed(3)))
+    est = estimate_p1(cfg, run.tier.buffon_throws, Stream(run.seed(3)), phi_norm=1.0)
     target = 1.0 - 1.0 / math.pi
     dev = abs(est.p_hat - target)
     return dev < 0.005, f"p_hat={est.p_hat:.5f} vs {target:.5f}, |diff|={dev:.5f} (tol 0.005)"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,7 +43,6 @@ __all__ = [
     "consistent_pair_bound",
     "dumbbell_consistent_event",
     "estimate_p1",
-    "estimate_p1_conditional",
     "conditional_integral",
     "chi_mean",
     "chi_pdf",
@@ -96,8 +96,7 @@ def consistent_pair_bound(alpha: float, m: int) -> float:
 class DumbbellConfig:
     """Two balls of radius `radius` at centers p, q against a delta grid.
 
-    alpha = ||p - q||/delta.  p == q (alpha = 0) is allowed: the event is
-    then trivially certain.
+    p == q is allowed: the event is then trivially certain.
     """
 
     n: int
@@ -117,10 +116,6 @@ class DumbbellConfig:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-
-    @property
-    def alpha(self) -> float:
-        return float(np.linalg.norm(self.p - self.q)) / self.delta
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,17 @@ def dumbbell_consistent_event(phi_row: np.ndarray, xi: float, cfg: DumbbellConfi
     return bool(_events(phi_row[None, :], np.asarray([xi]), cfg)[0])
 
 
-def _throw(cfg: DumbbellConfig, throws: int, stream: Stream, phi_norm: float | None = None) -> ProbEstimate:
-    """Count events over `throws` rows (rescaled to phi_norm if given), drawn before their dithers."""
+def estimate_p1(
+    cfg: DumbbellConfig, throws: int, stream: Stream, phi_norm: float | None = None
+) -> ProbEstimate:
+    """Single-projection event probability under xi ~ U[0, delta).
+
+    Rows are phi ~ N(0,1)^n when `phi_norm` is None, and uniform on the
+    sphere scaled to `phi_norm` otherwise; with radius 0 and phi_norm 1
+    the latter is the classic needle-versus-grid non-crossing experiment
+    at segment length ||p - q||/delta grid units.  All rows are drawn
+    before their dithers.
+    """
     if throws < 1:
         raise ValueError(f"throws must be >= 1, got {throws}")
     if phi_norm is not None and not phi_norm > 0.0:
@@ -173,54 +177,40 @@ def _throw(cfg: DumbbellConfig, throws: int, stream: Stream, phi_norm: float | N
     return ProbEstimate.from_hits(int(_events(rows, xi, cfg).sum()), throws)
 
 
-def estimate_p1(cfg: DumbbellConfig, throws: int, stream: Stream) -> ProbEstimate:
-    """Single-projection event probability under phi ~ N(0,1)^n, xi ~ U[0, delta)."""
-    return _throw(cfg, throws, stream)
+def _tail_moment(c: np.ndarray, n: int) -> np.ndarray:
+    """T(c) = int_c^1 (1-v^2)^p (v-c) dv with p = (n-3)/2, and 0 for c >= 1.
 
-
-def estimate_p1_conditional(
-    cfg: DumbbellConfig, throws: int, stream: Stream, phi_norm: float = 1.0
-) -> ProbEstimate:
-    """Event probability conditioned on the projector norm.
-
-    Projectors are uniform on the sphere scaled to `phi_norm`; with
-    radius 0 and phi_norm 1 this is the classic needle-versus-grid
-    non-crossing experiment at segment length ||p - q||/delta grid units.
+    T(c) = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), where I_p(c) = int_c^1 (1-v^2)^p dv
+    follows the reduction I_p = (2p*I_(p-1) - c*(1-c^2)^p)/(2p+1) up from
+    I_0 = 1-c (odd n) or I_(-1/2) = arccos c (even n).
     """
-    return _throw(cfg, throws, stream, phi_norm)
+    c = np.minimum(c, 1.0)
+    s = 1.0 - c * c
+    p, tail = (0.0, 1.0 - c) if n % 2 else (-0.5, np.arccos(c))
+    while p < (n - 3) / 2.0:
+        p += 1.0
+        tail = (2.0 * p * tail - c * s**p) / (2.0 * p + 1.0)
+    return s ** ((n - 1) / 2.0) / (n - 1) - c * tail
+
+
+def _fixed_norm_p1(a: np.ndarray, rho_ratio: float, n: int) -> np.ndarray:
+    # int_0^1 (1-v^2)^p [(v-rho)_+ - (v-rho-1/a)_+] dv = T(rho) - T(rho + 1/a);
+    # both terms vanish for rho >= 1, where the balls swallow the segment.
+    if not rho_ratio >= 0.0:
+        raise ValueError(f"rho_ratio must be >= 0, got {rho_ratio}")
+    return 1.0 - 2.0 * kappa(n) * a * (_tail_moment(rho_ratio, n) - _tail_moment(rho_ratio + 1.0 / a, n))
 
 
 def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
-    """Fixed-norm single-projection event probability, by adaptive quadrature.
+    """Fixed-norm single-projection event probability, in closed form.
 
     `a` is the projected segment length in grid units, `rho_ratio` the
-    ball-diameter-to-segment ratio 2r/L.  The endpoint singularity of the
-    n = 2 weight is removed by the substitution v = sin(u), which maps the
-    integrand to cos(u)^(n-2) * f(sin(u)) on [0, pi/2] for every n >= 2.
+    ball-diameter-to-segment ratio 2r/L; the result is 1.0 for
+    rho_ratio >= 1.
     """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError(f"segment length ratio must be positive and finite, got {a}")
-    if rho_ratio < 0.0:
-        raise ValueError(f"rho_ratio must be >= 0, got {rho_ratio}")
-    if rho_ratio >= 1.0:
-        return 1.0  # the balls swallow the segment: no bare-segment crossing exists
-    upper = rho_ratio + 1.0 / a
-
-    def integrand(u: float) -> float:
-        v = math.sin(u)
-        f = max(v - rho_ratio, 0.0) - max(v - upper, 0.0)
-        return math.cos(u) ** (n - 2) * f
-
-    # imported here: scipy.integrate is most of the package's import time
-    from scipy.integrate import quad
-
-    kinks = [math.asin(v) for v in (rho_ratio, upper) if 0.0 < v < 1.0]
-    value, _ = quad(
-        integrand, 0.0, math.pi / 2.0, points=kinks or None, epsabs=1e-13, epsrel=1e-10, limit=200
-    )
-    return 1.0 - 2.0 * kappa(n) * a * value
+    return float(_fixed_norm_p1(a, rho_ratio, n))
 
 
 def chi_mean(n: int) -> float:
@@ -238,6 +228,12 @@ def chi_pdf(phi: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@cache
+def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
+    # computed on first use, not at import
+    return leggauss(_MIXTURE_NODES)
+
+
 def mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:
     """chi(n)-weighted average of the fixed-norm probability.
 
@@ -247,12 +243,11 @@ def mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     upper = chi_mean(n) + 10.0 * math.sqrt(n)
-    t, wt = leggauss(_MIXTURE_NODES)
+    t, wt = _mixture_rule()
     x = 0.5 * upper * (t + 1.0)
     w = 0.5 * upper * wt
     density = chi_pdf(x, n)
-    values = np.array([conditional_integral(alpha * xi, rho_ratio, n) for xi in x])
-    return float(np.sum(w * density * values))
+    return float(np.sum(w * density * _fixed_norm_p1(alpha * x, rho_ratio, n)))
 
 
 @dataclass(frozen=True)
@@ -271,7 +266,7 @@ class BoundChainReport:
 
 
 def verify_bound_chain(n: int, alpha: float, throws: int, stream: Stream) -> BoundChainReport:
-    """Monte Carlo versus quadrature versus closed-form bound, in order.
+    """Monte Carlo versus chi-mixture versus closed-form bound, in order.
 
     Builds the canonical dumbbell at distance alpha (delta = 1) with the
     RADIUS_WEIGHT radius rule, estimates the Gaussian-projector event

@@ -226,7 +226,7 @@ def _check_ray_inputs(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray) -> t
     d = np.asarray(d, dtype=np.float64)
     if not cell_contains(cell, x0):
         raise NotInCellError("ray origin is not a member of the cell")
-    if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
+    if not abs(float(np.linalg.norm(d)) - 1.0) <= 1e-9:  # NaN fails too
         raise ValueError("direction must be a unit vector")
     if not cell.on_support(d):
         raise ValueError("direction must be supported on the cell's support set")

@@ -342,7 +342,8 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
+    """The top-level parser and its subparsers action."""
     parser = _Parser(
         prog="qconsist",
         description="Quantized Gaussian projections: consistent reconstruction and bound validation.",
@@ -367,14 +368,17 @@ def _build_parser() -> _Parser:
         if name == "check":
             tier_group = p.add_mutually_exclusive_group()
             tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (a few seconds)")
-            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 13 s)")
-    return parser
+            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 25 s)")
+    return parser, sub
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, sub = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the subcommand's own usage line
+            owner = sub.choices[args.command] if args.command else parser
+            owner.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
@@ -386,7 +390,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(opts, "full" if args.full else "quick")
         return _HANDLERS[args.command](opts)
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"qconsist: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Crossing-event logic, kappa bounds, quadrature vs closed forms and MC."""
+"""Crossing-event logic, kappa bounds, closed forms vs quadrature and MC."""
 
 import math
 import os
@@ -8,6 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 import qconsist
 
@@ -15,11 +19,11 @@ from qconsist.buffon import (
     RADIUS_WEIGHT,
     DumbbellConfig,
     ProbEstimate,
+    chi_mean,
     chi_pdf,
     conditional_integral,
     dumbbell_consistent_event,
     estimate_p1,
-    estimate_p1_conditional,
     kappa,
     consistent_pair_bound,
     dumbbell_radius,
@@ -27,6 +31,39 @@ from qconsist.buffon import (
     verify_bound_chain,
 )
 from qconsist.randkit import Stream, uniform
+
+
+def quad_conditional_integral(a: float, rho_ratio: float, n: int) -> float:
+    """Oracle: the fixed-norm probability by adaptive quadrature.
+
+    The substitution v = sin(u) removes the endpoint singularity of the
+    n = 2 weight, mapping the integrand to cos(u)^(n-2) * f(sin(u)) on
+    [0, pi/2]; the kinks of f are passed to quad as break points.
+    """
+    if rho_ratio >= 1.0:
+        return 1.0
+    upper = rho_ratio + 1.0 / a
+
+    def integrand(u: float) -> float:
+        v = math.sin(u)
+        f = max(v - rho_ratio, 0.0) - max(v - upper, 0.0)
+        return math.cos(u) ** (n - 2) * f
+
+    kinks = [math.asin(v) for v in (rho_ratio, upper) if 0.0 < v < 1.0]
+    value, _ = quad(
+        integrand, 0.0, math.pi / 2.0, points=kinks or None, epsabs=1e-13, epsrel=1e-10, limit=200
+    )
+    return 1.0 - 2.0 * kappa(n) * a * value
+
+
+def quad_mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:
+    """Oracle: mixture_p1's 256-node Gauss-Legendre rule over the quadrature oracle."""
+    upper = chi_mean(n) + 10.0 * math.sqrt(n)
+    t, wt = leggauss(256)
+    x = 0.5 * upper * (t + 1.0)
+    w = 0.5 * upper * wt
+    values = np.array([quad_conditional_integral(alpha * xi, rho_ratio, n) for xi in x])
+    return float(np.sum(w * chi_pdf(x, n) * values))
 
 
 def segment_config(n: int, alpha: float, radius: float, delta: float = 1.0) -> DumbbellConfig:
@@ -144,7 +181,7 @@ def test_non_finite_centre_raises_instead_of_separating():
 
 def test_conditional_unit_norm_reduces_to_classic_needle():
     cfg = segment_config(2, 0.5, 0.0)
-    est = estimate_p1_conditional(cfg, 200_000, Stream(2))
+    est = estimate_p1(cfg, 200_000, Stream(2), phi_norm=1.0)
     target = 1.0 - 1.0 / math.pi
     assert abs(est.p_hat - target) < 0.005
 
@@ -196,14 +233,37 @@ def test_conditional_integral_matches_n3_closed_form():
             assert conditional_integral(a, rho, 3) == pytest.approx(closed, abs=1e-8)
 
 
+@given(
+    n=st.integers(2, 64),
+    a=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    rho=st.floats(0.0, 1.5),
+)
+@example(n=2, a=1.0, rho=0.0)
+@example(n=3, a=0.25, rho=0.0)
+@example(n=4, a=3.0, rho=1.0)
+@example(n=5, a=0.01, rho=1.0)
+@example(n=2, a=2.0, rho=0.5)
+@example(n=7, a=4.0, rho=0.75)
+@example(n=64, a=1.0, rho=0.0)
+def test_conditional_integral_matches_quadrature(n, a, rho):
+    assert abs(conditional_integral(a, rho, n) - quad_conditional_integral(a, rho, n)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0.5), (4, 2.0), (8, 4.0)])
+def test_mixture_matches_quadrature_mixture(n, alpha):
+    # same outer rule, adaptive quadrature at every node
+    rho = RADIUS_WEIGHT / (2.0 * kappa(n))
+    assert abs(mixture_p1(alpha, rho, n) - quad_mixture_p1(alpha, rho, n)) <= 1e-15
+
+
 def test_conditional_integral_matches_stratified_mc():
-    # Fixed projector norms: quadrature vs direct MC of the conditional event.
+    # Fixed projector norms: closed form vs direct MC of the conditional event.
     alpha = 1.0
     rho = RADIUS_WEIGHT / (2.0 * kappa(2))
     radius = rho * alpha / 2.0
     cfg = segment_config(2, alpha, radius)
     for i, norm in enumerate((0.5, 1.0, 2.0, 3.0)):
-        est = estimate_p1_conditional(cfg, 100_000, Stream(50 + i), phi_norm=norm)
+        est = estimate_p1(cfg, 100_000, Stream(50 + i), phi_norm=norm)
         exact = conditional_integral(alpha * norm, rho, 2)
         assert abs(est.p_hat - exact) < 4.0 * max(est.stderr, 1e-4)
 
@@ -240,6 +300,22 @@ def test_bound_chain_holds_at_moderate_alpha():
     assert report.p_hat <= report.mixture + 3.0 * report.stderr
     assert report.mixture <= report.jensen_bound + 1e-9
     assert report.jensen_bound <= report.bound + 1e-12
+
+
+def test_runs_with_scipy_blocked():
+    src = str(Path(qconsist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qconsist\n"
+        "from qconsist.cli import main\n"
+        "assert qconsist.verify_bound_chain(4, 2.0, 2000, qconsist.Stream(0)).ok\n"
+        "sys.exit(main(['buffon', '--n', '3', '--throws', '1000']))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert '"ok": true' in out.stdout
 
 
 def test_import_leaves_scipy_integrate_unloaded():

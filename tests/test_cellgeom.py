@@ -65,6 +65,34 @@ def test_ray_exit_preconditions():
         ray_exit_relaxed(cell, np.array([0.5, 0.0]), np.array([1.0, 0.0]), -1)
 
 
+def test_nan_direction_raises():
+    ens = gen_ensemble(16, 2, UNIT, 10)
+    sig = sample_signal(SignalModel.unit_ball(2), Stream(11))
+    cell = build_cell(ens, sense(ens, sig).codes)
+    with pytest.raises(ValueError, match="unit vector"):
+        ray_exit_strict(cell, sig.x, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="unit vector"):
+        ray_exit_relaxed(cell, sig.x, np.array([np.nan, np.nan]), 2)
+
+
+@given(
+    d=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    slot=st.integers(0, 2),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    r=st.integers(0, 3),
+)
+def test_non_finite_direction_always_raises(d, slot, bad, r):
+    ens = gen_ensemble(16, 3, UNIT, 12)
+    sig = sample_signal(SignalModel.unit_ball(3), Stream(13))
+    cell = build_cell(ens, sense(ens, sig).codes)
+    d[slot] = bad
+    with pytest.raises(ValueError, match="unit vector"):
+        if r == 0:
+            ray_exit_strict(cell, sig.x, np.array(d))
+        else:
+            ray_exit_relaxed(cell, sig.x, np.array(d), r)
+
+
 def bisect_exit(cell, x0, d, r=0):
     def member(t: float) -> bool:
         return cell_contains(cell, x0 + t * d, r=r)

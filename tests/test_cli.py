@@ -1,5 +1,7 @@
 """CLI contract: dispatch, exit codes, config files, output channels."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qconsist
 from qconsist.bounds import min_measurements, predicted_eps
@@ -77,6 +81,51 @@ def test_flag_a_subcommand_does_not_read_exits_one(capsys, tmp_path, monkeypatch
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: {flag}" in err
     assert not (tmp_path / "x.txt").exists()
+
+
+def test_unrecognized_flag_shows_the_subcommand_usage(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--mode", "grfcq", "--out", "x.txt")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: qconsist bounds")
+    assert "--out" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "grfcq", "--eps0", "1e-320"),
+        ("--mode", "covering", "--s", "1e-300", "--n", "1000"),
+        ("--mode", "predicted-eps", "--m", "1" + "0" * 400),
+    ],
+)
+def test_bounds_overflow_is_a_one_line_error(capsys, argv):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("qconsist: error: ") and err.count("\n") == 1
+
+
+# normal, subnormal, huge-integer and non-finite flag values
+_BOUNDS_VALUES = st.one_of(
+    st.sampled_from(
+        ["1", "3", "8", "0.1", "0.5", "1.5", "-1", "1e-300", "1e-320", "5e-324", "1e308", "inf", "-inf", "nan"]
+    ),
+    st.sampled_from(["1" + "0" * 35, "1" + "0" * 400]),
+    st.integers(-10, 10**40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@settings(max_examples=300)
+@given(
+    mode=st.sampled_from(["grfcq", "qcs", "relaxed-grfcq", "relaxed-qcs", "rho", "covering", "predicted-eps"]),
+    flags=st.dictionaries(st.sampled_from(["eps0", "eta", "delta", "n", "k", "r", "m", "rho", "s"]), _BOUNDS_VALUES),
+)
+def test_bounds_never_raises(mode, flags):
+    argv = ["bounds", "--mode", mode]
+    for name, value in flags.items():
+        argv += [f"--{name}", value]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1)
 
 
 def test_bad_numeric_flag_exits_one(capsys):
