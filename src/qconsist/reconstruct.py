@@ -23,6 +23,46 @@ bound and of the slab ends.  The exact step would then find phi_j @ u inside
 the slab and leave u alone, so the screen changes no bit of u, of the cycle
 count or of the result; NaN never passes it.
 
+Support enumeration offers each support S to an infeasibility certificate
+before POCS.  With cell centres c = lo + delta/2, A = phi[:, S] and any
+y in R^M, every u on S with |a_j.u - c_j| <= h_j for all rows and
+||u|| <= rho satisfies
+
+    y.c - sum_j |y_j| h_j  <=  y.(A u)  =  (A^T y).u  <=  rho ||A^T y||,
+
+so S holds no such u when y.c - |y|.h - rho ||A^T y|| > 0.  This holds for
+every y; y is the least-squares residual c - A u_ls, with u_ls from the
+k x k normal equations of a Gram matrix phi^T phi and phi^T c built once
+per enumeration.  An inexact solve weakens the certificate and never makes
+it unsound; a singular one certifies nothing.
+
+With eps = 2**-53 and gamma_n as above, h and rho cover every point that
+verified_member accepts, however it rounds:
+  - rho = (R + _BALL_TOL)(1 + gamma_(2k+2)): the computed norm
+    sqrt(fl(u.u)) is at least ||u|| (1 - gamma_k)^(1/2) (1 - eps).
+  - A computed product p_j = fl(a_j.u) lies within
+    gamma_k ||a_j|| rho + k*2**-1074 of a_j.u (sec. 3.1 above).
+  - floor(fl(fl(p_j + xi_j)/delta)) = code_j puts p_j within
+    delta/2 + 2 eps s_j of delta*code_j - xi_j + delta/2, and c_j, four
+    roundings of that value (code to double, times delta, minus xi, plus
+    delta/2), lies within 4 eps s_j of it.  Here s_j =
+    |c_j| + |xi_j| + 2 delta bounds every magnitude in the chain up to
+    1 + O(eps); underflow in the quotient and in delta/2 adds at most
+    (delta + 2)*2**-1075.
+So h_j = delta/2 + tau_j with tau_j = 16 eps s_j + 2 gamma_k ||phi_j|| rho
++ (k + 4 + delta)*2**-1072, twice the sum of these bounds, which also covers
+the rounding of tau_j, of the full-row norm ||phi_j|| >= ||a_j|| and of
+rho.  The three terms of the certificate are sums of at most M + 2k + 4
+rounded operations on magnitudes within |y|.(|c| + h + rho ||phi_j||) +
+rho ||A^T y|| (the last bounds the rounding of A^T y through
+||a_j|| <= ||phi_j||), so a support counts as certified only when the
+computed value exceeds pad = 2 gamma_(M+2k+4) times that magnitude, plus
+(M + k)*2**-1068 for underflowing products.  Overflow and NaN make the pad
+infinite or the comparison false, so they never certify.  The certificate
+does not depend on the POCS margin `tol`: it rules out only supports on
+which no point could verify, so enumeration returns exactly what it
+returns without it.
+
 The linear baseline is the plain least-squares synthesis from the decoded
 observation.  It deliberately enforces no consistency and serves as the
 decay-rate contrast.
@@ -58,15 +98,18 @@ class EnumerationCapError(RuntimeError):
 class NoConsistentSolutionError(RuntimeError):
     """No enumerated support verified within the per-support cycle cap.
 
-    This is not an infeasibility certificate: a support that ran out of
-    cycles may still hold a consistent solution.  `supports` is the number
-    of supports tried and `max_iter` the POCS cycle cap each one had.
+    `supports` is the number of supports tried, `certified` how many of
+    them were certified infeasible before POCS ran, and `max_iter` the POCS
+    cycle cap each of the others had.  Only when certified == supports is
+    this a proof that no consistent k-sparse vector exists in the ball: a
+    support that ran out of cycles may still hold a consistent solution.
     """
 
-    def __init__(self, message: str, supports: int, max_iter: int):
+    def __init__(self, message: str, supports: int, max_iter: int, certified: int):
         super().__init__(message)
         self.supports = supports
         self.max_iter = max_iter
+        self.certified = certified
 
 
 # A cycle after one that moved u on at least this share of the rows visits
@@ -90,18 +133,23 @@ class ReconstructionResult:
     residual: float
 
 
+def _check_budget(delta: float, tol: float | None, max_iter: int) -> float:
+    """The POCS interior margin, once it and the cycle cap are validated."""
+    margin = 1e-9 * delta if tol is None else float(tol)
+    if not 0.0 < margin < delta / 2.0:
+        raise ValueError(f"tolerance must lie in (0, delta/2), got {margin}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return margin
+
+
 def _pocs(
     cell: ConsistencyCell,
     tol: float | None,
     max_iter: int,
     x0: np.ndarray | None,
 ) -> ReconstructionResult:
-    delta = cell.delta
-    margin = 1e-9 * delta if tol is None else float(tol)
-    if not 0.0 < margin < delta / 2.0:
-        raise ValueError(f"tolerance must lie in (0, delta/2), got {margin}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    margin = _check_budget(cell.delta, tol, max_iter)
     ball_radius = cell.ball_radius
     # contiguous copy: keeps BLAS summation order identical to the
     # unrestricted path, so support=[n] reproduces pocs_consistent bitwise
@@ -214,6 +262,51 @@ def pocs_on_support(
     return _pocs(build_cell(ensemble, codes, ball_radius, support), tol, max_iter, x0)
 
 
+def _infeasibility_screen(cell: ConsistencyCell, k: int):
+    """certified(support): True only if no k-vector on `support` verifies.
+
+    The Farkas certificate of the module docstring, from the least-squares
+    residual y of the cell centres c on the support columns.  A singular or
+    non-finite solve certifies nothing.
+    """
+    phi, xi, delta = cell.ensemble.phi, cell.ensemble.xi, cell.delta
+    c = cell.lo + delta / 2.0
+    gram, rhs = phi.T @ phi, phi.T @ c
+    eps = 2.0**-53
+
+    def gamma(n: int) -> float:
+        return n * eps / (1.0 - n * eps)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = (cell.ball_radius + _BALL_TOL) * (1.0 + gamma(2 * k + 2))
+        row_norm = np.sqrt(np.einsum("ij,ij->i", phi, phi))
+        half = delta / 2.0 + (
+            16.0 * eps * (np.abs(c) + np.abs(xi) + 2.0 * delta)
+            + 2.0 * gamma(k) * rho * row_norm
+            + (k + 4.0 + delta) * 2.0**-1072
+        )
+        magnitude = np.abs(c) + half + rho * row_norm
+    pad_rel = 2.0 * gamma(cell.m + 2 * k + 4)
+    pad_underflow = (cell.m + k) * 2.0**-1068
+
+    def certified(support: tuple[int, ...]) -> bool:
+        idx = np.asarray(support, dtype=np.intp)
+        try:
+            u_ls = np.linalg.solve(gram[np.ix_(idx, idx)], rhs[idx])
+        except np.linalg.LinAlgError:
+            return False
+        a = phi[:, idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = c - a @ u_ls
+            ay = np.abs(y)
+            w = float(np.linalg.norm(a.T @ y))
+            value = float(y @ c) - float(ay @ half) - rho * w
+            pad = pad_rel * (float(ay @ magnitude) + rho * w) + pad_underflow
+        return value > pad  # NaN and overflow never pass
+
+    return certified
+
+
 def qcs_enumerate(
     ensemble: SensingEnsemble,
     codes: np.ndarray,
@@ -225,12 +318,15 @@ def qcs_enumerate(
 ) -> ReconstructionResult:
     """First consistent k-sparse solution over lexicographic k-supports.
 
-    Raises EnumerationCapError when C(n, k) exceeds `enumeration_cap`, and
-    NoConsistentSolutionError when no support verifies within `max_iter`
-    cycles each.  That error is not an infeasibility certificate: a
-    feasible support that needs more than `max_iter` cycles fails the same
-    way.  The default per-support budget is intentionally modest, since
-    POCS cannot tell an infeasible support from a slow one.
+    Each support is first offered to an infeasibility certificate (module
+    docstring); only the supports it cannot rule out get POCS, with
+    `max_iter` cycles each.  The certificate removes only supports that
+    hold no verifiable point, so the result is the one plain enumeration
+    gives.  Raises EnumerationCapError when C(n, k) exceeds
+    `enumeration_cap`, and NoConsistentSolutionError when no support
+    verifies.  That error proves that no consistent k-sparse vector exists
+    only when every support was certified; otherwise a feasible support that
+    needs more than `max_iter` cycles fails the same way.
     """
     n = ensemble.n
     if not 1 <= k <= n:
@@ -240,18 +336,31 @@ def qcs_enumerate(
         raise EnumerationCapError(
             f"support enumeration needs {total} candidates, above the cap {enumeration_cap}"
         )
+    cell = build_cell(ensemble, codes, ball_radius)
+    _check_budget(cell.delta, tol, max_iter)
+    certified = _infeasibility_screen(cell, k)
+    ruled_out = 0
     for subset in combinations(range(n), k):
+        if certified(subset):
+            ruled_out += 1
+            continue
         result = pocs_on_support(
             ensemble, codes, np.asarray(subset, dtype=np.intp), ball_radius, tol, max_iter
         )
         if result.consistent:
             return result
-    raise NoConsistentSolutionError(
-        f"no {k}-support of {total} verified within max_iter={max_iter} POCS cycles; "
-        "this is not an infeasibility certificate (a larger max_iter may verify one)",
-        total,
-        max_iter,
-    )
+    if ruled_out == total:
+        message = (
+            f"no {k}-sparse vector in the radius-{ball_radius:g} ball reproduces the codes: "
+            f"all {total} supports are certified infeasible"
+        )
+    else:
+        message = (
+            f"no {k}-support of {total} verified within max_iter={max_iter} POCS cycles "
+            f"({ruled_out} certified infeasible); this is not an infeasibility certificate "
+            "(a larger max_iter may verify one)"
+        )
+    raise NoConsistentSolutionError(message, total, max_iter, ruled_out)
 
 
 def linear_baseline(ensemble: SensingEnsemble, codes: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Feasibility solvers: fixed points, convergence, enumeration, baseline."""
 
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qconsist.cellgeom import _BALL_TOL, build_cell, verified_member
+from qconsist.cellgeom import _BALL_TOL, build_cell, cell_contains, verified_member
 from qconsist.quantizer import QuantizerSpec, _encode_values
 from qconsist.randkit import Stream
 from qconsist.reconstruct import (
@@ -15,6 +17,7 @@ from qconsist.reconstruct import (
     EnumerationCapError,
     NoConsistentSolutionError,
     SingularMatrixError,
+    _infeasibility_screen,
     linear_baseline,
     pocs_consistent,
     pocs_on_support,
@@ -148,8 +151,13 @@ def test_enumerate_raises_when_nothing_is_consistent():
     ens = gen_ensemble(60, 3, QuantizerSpec(0.1), 10)
     x = np.array([0.5, -0.5, 0.5])
     codes = sense(ens, x).codes
-    with pytest.raises(NoConsistentSolutionError):
+    with pytest.raises(NoConsistentSolutionError) as info:
         qcs_enumerate(ens, codes, 1, max_iter=200)
+    # every support is certified infeasible, so the error is a proof
+    assert (info.value.supports, info.value.certified) == (3, 3)
+    assert "no 1-sparse vector in the radius-1 ball" in str(info.value)
+    assert "all 3 supports are certified infeasible" in str(info.value)
+    assert "not an infeasibility certificate" not in str(info.value)
 
 
 def test_enumeration_failure_names_the_cycle_cap():
@@ -163,6 +171,7 @@ def test_enumeration_failure_names_the_cycle_cap():
         qcs_enumerate(ens, codes, 2)
     assert "not an infeasibility certificate" in str(info.value)
     assert (info.value.supports, info.value.max_iter) == (45, 200)
+    assert 0 < info.value.certified < 45
     result = qcs_enumerate(ens, codes, 2, max_iter=400)
     assert result.consistent
     assert is_consistent(ens, codes, result.x_star)
@@ -349,3 +358,146 @@ def test_screened_pocs_equals_the_scalar_loop_on_repeated_rows():
         ens = manual_ensemble(np.vstack([ens.phi, ens.phi[:8]]), np.concatenate([ens.xi, ens.xi[:8]]), 1e-3)
         codes = sense(ens, sample_signal(SignalModel.unit_ball(4), Stream(seed + 1000))).codes
         assert_matches_scalar_pocs(ens, codes, None, None, 300, None)
+
+
+def plain_enumerate(ens, codes, k, max_iter=200):
+    """Oracle: POCS on every k-support in order, with no screen."""
+    supports = list(combinations(range(ens.n), k))
+    for support in supports:
+        result = pocs_on_support(ens, codes, np.asarray(support), max_iter=max_iter)
+        if result.consistent:
+            return result
+    raise NoConsistentSolutionError("no support verified", len(supports), max_iter, 0)
+
+
+def assert_matches_plain_enumerate(ens, codes, k, max_iter=200):
+    try:
+        want = plain_enumerate(ens, codes, k, max_iter)
+    except NoConsistentSolutionError as exc:
+        with pytest.raises(NoConsistentSolutionError) as info:
+            qcs_enumerate(ens, codes, k, max_iter=max_iter)
+        assert (info.value.supports, info.value.max_iter) == (exc.supports, exc.max_iter)
+        return
+    got = qcs_enumerate(ens, codes, k, max_iter=max_iter)
+    assert np.array_equal(got.x_star, want.x_star)
+    assert (got.iterations, got.consistent, got.residual) == (want.iterations, want.consistent, want.residual)
+
+
+def certified_supports(ens, codes, k):
+    certified = _infeasibility_screen(build_cell(ens, codes), k)
+    return [support for support in combinations(range(ens.n), k) if certified(support)]
+
+
+@st.composite
+def enumeration_instances(draw):
+    """(ensemble, codes, k) with n <= 4, k <= 2 and M in [2, 40].
+
+    delta is 1e-6, 1, or log-uniform in [1e-6, 4]; the codes are those of a
+    k-sparse signal, or those moved one step on one row, which often leaves
+    no consistent k-sparse vector at all.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(n, 2)))
+    delta = draw(st.sampled_from([1e-6, 1.0, None])) or 10.0 ** draw(st.floats(-6.0, math.log10(4.0)))
+    ens = gen_ensemble(draw(st.integers(2, 40)), n, QuantizerSpec(delta), draw(st.integers(0, 2**63)))
+    codes = sense(ens, sample_signal(SignalModel.sparse_ball(n, k), Stream(draw(st.integers(0, 2**63))))).codes
+    if draw(st.booleans()):
+        codes[draw(st.integers(0, ens.m - 1))] += draw(st.sampled_from([-1, 1]))
+    return ens, codes, k
+
+
+def grid_members(ens, codes, support, points=101):
+    """Points of a grid over [-1, 1]^k on the support that pass cell_contains."""
+    cell = build_cell(ens, codes, 1.0, np.asarray(support))
+    axis = np.linspace(-1.0, 1.0, points)
+    grid = np.stack(np.meshgrid(*[axis] * len(support)), axis=-1).reshape(-1, len(support))
+    grid = grid[np.linalg.norm(grid, axis=1) <= 1.0]
+    # rounding moves a code by at most one step: keep every near miss for the exact test
+    near = np.all(np.abs(_encode_values(grid @ cell.phi.T + ens.xi, ens.spec.delta) - codes) <= 1, axis=1)
+    return [x for x in (cell.embed(u) for u in grid[near]) if cell_contains(cell, x, ball_tol=_BALL_TOL)]
+
+
+@settings(max_examples=20)
+@given(enumeration_instances(), st.integers(0, 5))
+def test_certified_supports_never_verify_under_pocs(instance, pick):
+    # one certified support per instance: each runs the whole 5000-cycle cap
+    ens, codes, k = instance
+    certified = certified_supports(ens, codes, k)
+    if certified:
+        support = certified[pick % len(certified)]
+        assert not pocs_on_support(ens, codes, np.asarray(support), max_iter=5000).consistent
+
+
+@given(enumeration_instances().filter(lambda instance: instance[0].n <= 3))
+def test_certified_supports_hold_no_grid_point(instance):
+    ens, codes, k = instance
+    for support in certified_supports(ens, codes, k):
+        assert grid_members(ens, codes, support) == []
+
+
+@settings(max_examples=200)
+@given(st.floats(0.1, 10.0), st.floats(1e-3, 1.0), st.integers(1, 20))
+def test_a_support_with_a_verified_point_is_never_certified(s, delta, j):
+    # Rows s and -s with s*u = j*delta make the cell one point in exact
+    # arithmetic, or none: only the rounding margins keep the certificate
+    # from ruling out the point u that verifies.
+    u = j * delta / s
+    ens = manual_ensemble([[s], [-s]], [0.0, 0.0], delta)
+    codes = _encode_values(ens.phi @ [u] + ens.xi, delta)
+    cell = build_cell(ens, codes)
+    if verified_member(cell, np.array([u]), ball_tol=_BALL_TOL):
+        assert not _infeasibility_screen(cell, 1)((0,))
+
+
+@given(enumeration_instances())
+def test_screened_enumeration_equals_the_plain_loop(instance):
+    assert_matches_plain_enumerate(*instance)
+
+
+def test_screened_enumeration_equals_the_plain_loop_on_the_slow_instances():
+    for seed in range(5):
+        ens = gen_ensemble(40, 10, UNIT, 5000 + seed)
+        codes = sense(ens, sample_signal(SignalModel.sparse_ball(10, 2), Stream(6000 + seed))).codes
+        assert_matches_plain_enumerate(ens, codes, 2)
+
+
+def enumerate_quietly(ens, codes, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_matches_plain_enumerate(ens, codes, k)
+
+
+def test_screen_falls_through_on_a_zero_column():
+    # Column 0 is invisible to both rows: its 1x1 Gram matrix is singular, so
+    # support {0} gets POCS (which cannot verify it) and support {1} verifies.
+    ens = manual_ensemble([[0.0, 1.0], [0.0, 2.0]], [0.0, 0.0])
+    codes = _encode_values(ens.phi @ np.array([0.0, 0.8]) + ens.xi, 1.0)
+    assert certified_supports(ens, codes, 1) == []
+    enumerate_quietly(ens, codes, 1)
+    result = qcs_enumerate(ens, codes, 1)
+    assert result.consistent and result.x_star[0] == 0.0
+
+
+def test_screen_falls_through_on_repeated_columns():
+    # Columns 0 and 1 are equal integers, so the Gram matrix of {0, 1} is
+    # exactly singular; the signal lies on column 0, so {0, 1} is feasible.
+    rows = np.random.default_rng(77).integers(-3, 4, size=(16, 3)).astype(float)
+    rows[:, 1] = rows[:, 0]
+    ens = manual_ensemble(rows, np.full(16, 0.25))
+    codes = _encode_values(ens.phi @ np.array([0.3, 0.0, 0.0]) + ens.xi, 1.0)
+    assert (0, 1) not in certified_supports(ens, codes, 2)
+    enumerate_quietly(ens, codes, 2)
+    assert qcs_enumerate(ens, codes, 2).consistent
+
+
+def test_screen_falls_through_near_the_code_guard():
+    # Rows scaled by 2**60 put codes within a factor of 8 of the 2**62 guard,
+    # where one code step is below the rounding of the cell bounds.  The
+    # signal's support {1} is not certified and still gets POCS; the other
+    # columns miss the codes by ~1e18, which the certificate still proves.
+    ens = gen_ensemble(12, 3, UNIT, 55)
+    ens = manual_ensemble(ens.phi * 2.0**60, ens.xi)
+    codes = _encode_values(ens.phi @ np.array([0.0, 0.6, 0.0]) + ens.xi, 1.0)
+    assert np.abs(codes).max() > 2**59
+    assert certified_supports(ens, codes, 1) == [(0,), (2,)]
+    enumerate_quietly(ens, codes, 1)
