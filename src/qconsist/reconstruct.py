@@ -32,9 +32,9 @@ y in R^M, every u on S with |a_j.u - c_j| <= h_j for all rows and
 
 so S holds no such u when y.c - |y|.h - rho ||A^T y|| > 0.  This holds for
 every y; y is the least-squares residual c - A u_ls, with u_ls from the
-k x k normal equations of a Gram matrix phi^T phi and phi^T c built once
-per enumeration.  An inexact solve weakens the certificate and never makes
-it unsound; a singular one certifies nothing.
+k x k normal equations A^T A u = A^T c, O(M k^2) per support.  An inexact
+solve weakens the certificate and never makes it unsound; a singular one
+certifies nothing.
 
 With eps = 2**-53 and gamma_n as above, h and rho cover every point that
 verified_member accepts, however it rounds:
@@ -271,7 +271,6 @@ def _infeasibility_screen(cell: ConsistencyCell, k: int):
     """
     phi, xi, delta = cell.ensemble.phi, cell.ensemble.xi, cell.delta
     c = cell.lo + delta / 2.0
-    gram, rhs = phi.T @ phi, phi.T @ c
     eps = 2.0**-53
 
     def gamma(n: int) -> float:
@@ -290,12 +289,11 @@ def _infeasibility_screen(cell: ConsistencyCell, k: int):
     pad_underflow = (cell.m + k) * 2.0**-1068
 
     def certified(support: tuple[int, ...]) -> bool:
-        idx = np.asarray(support, dtype=np.intp)
+        a = phi[:, np.asarray(support, dtype=np.intp)]
         try:
-            u_ls = np.linalg.solve(gram[np.ix_(idx, idx)], rhs[idx])
+            u_ls = np.linalg.solve(a.T @ a, a.T @ c)
         except np.linalg.LinAlgError:
             return False
-        a = phi[:, idx]
         with np.errstate(over="ignore", invalid="ignore"):
             y = c - a @ u_ls
             ay = np.abs(y)

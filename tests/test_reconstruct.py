@@ -1,6 +1,7 @@
 """Feasibility solvers: fixed points, convergence, enumeration, baseline."""
 
 import math
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -501,3 +502,21 @@ def test_screen_falls_through_near_the_code_guard():
     assert np.abs(codes).max() > 2**59
     assert certified_supports(ens, codes, 1) == [(0,), (2,)]
     enumerate_quietly(ens, codes, 1)
+
+
+def test_screen_memory_stays_linear_in_n_at_k_1():
+    # C(4000, 1) supports pass the default cap; an n x n Gram matrix would
+    # take 128 MB, while each support needs only its M x k columns.  The
+    # signal sits on the last column, so every support is tried.
+    ens = gen_ensemble(40, 4000, UNIT, 11)
+    x = np.zeros(4000)
+    x[-1] = 0.6
+    codes = sense(ens, x).codes
+    tracemalloc.start()
+    try:
+        result = qcs_enumerate(ens, codes, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.consistent and np.flatnonzero(result.x_star).tolist() == [3999]
+    assert peak < 8 * 2**20
