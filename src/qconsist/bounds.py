@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .quantizer import QuantizerSpec
+from .sensing import SignalModel
+
 __all__ = [
     "RhoConstants",
     "min_measurements",
@@ -40,20 +43,12 @@ class RhoConstants:
     d_rho: float
 
 
-def _check_common(epsilon0: float, eta: float, delta: float, n: int) -> None:
+def _check_common(epsilon0: float, eta: float, delta: float) -> None:
     if not (math.isfinite(epsilon0) and epsilon0 > 0.0):
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-
-
-def _check_sparsity(k: int | None, n: int) -> None:
-    if k is not None and not 1 <= k <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= k <= n, got k={k}, n={n}")
+    QuantizerSpec(delta)
 
 
 def _tail(eta: float) -> float:
@@ -83,8 +78,8 @@ def min_measurements(
     iteration started from the r = 0 count, then walked down to the
     smallest integer satisfying the inequality.
     """
-    _check_common(epsilon0, eta, delta, n)
-    _check_sparsity(k, n)
+    _check_common(epsilon0, eta, delta)
+    SignalModel(n, k)
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     factor = (4.0 * delta + 2.0 * epsilon0) / epsilon0
@@ -144,10 +139,10 @@ def predicted_eps(m: int, eta: float, delta: float, n: int, k: int | None = None
     signals), with the covering term chosen by k as in min_measurements.
     Raises for m below the count needed at eps = 2.
     """
-    _check_common(2.0, eta, delta, n)
+    _check_common(2.0, eta, delta)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    _check_sparsity(k, n)
+    SignalModel(n, k)
 
     def f(eps: float) -> float:
         return (4.0 * (delta + 1.0) / m) * (_complexity(eps, n, k) + _tail(eta))

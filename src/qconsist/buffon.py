@@ -30,7 +30,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .quantizer import _encode_values
+from .quantizer import QuantizerSpec, _encode_values
 from .randkit import Stream, gauss, uniform
 
 __all__ = [
@@ -114,8 +114,7 @@ class DumbbellConfig:
             raise ValueError(f"centers must have shape ({self.n},)")
         if self.radius < 0.0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        QuantizerSpec(self.delta)
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,9 @@ class ConsistencyCell:
     `support`, when set, restricts the cell to the subspace of vectors
     supported on those indices, and `phi` holds the sensing matrix's columns
     on it (all of `ensemble.phi` itself for a free cell), so `phi.shape[1]`
-    is the active dimension.  The support columns are the F-order slice
-    `ensemble.phi[:, support]`, built once: ray exits multiply with it as
-    is, and POCS with its C-order copy.  The two layouts round some
-    products differently in the last bit, and the artifacts depend on each
-    keeping its own.  `dim` is the ambient dimension.
+    is the active dimension.  It is C-contiguous like `ensemble.phi`, and
+    membership, ray exits and POCS all multiply it with active coordinates.
+    `dim` is the ambient dimension.
     """
 
     ensemble: SensingEnsemble
@@ -145,26 +143,22 @@ def build_cell(
         codes=codes,
         ball_radius=float(ball_radius),
         support=support,
-        phi=ensemble.phi if support is None else ensemble.phi[:, support],
+        phi=ensemble.phi if support is None else ensemble.phi.take(support, axis=1),
         lo=lo,
         hi=lo + delta,
         dim=ensemble.n,
     )
 
 
-def verified_member(
-    cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: float = 0.0, phi: np.ndarray | None = None
-) -> bool:
+def verified_member(cell: ConsistencyCell, u_act: np.ndarray, r: int = 0, ball_tol: float = 0.0) -> bool:
     """The membership test: ||u|| <= R + ball_tol and l1 code distance <= r.
 
-    Codes are compared as integers.  `phi` defaults to the full sensing
-    matrix; a caller working in active coordinates passes the support
-    columns it multiplies with (see ConsistencyCell on their layout).
+    `u_act` holds the active coordinates of u (see ConsistencyCell), and
+    its codes are those of cell.phi @ u_act + xi, compared as integers.
     """
-    if float(np.linalg.norm(u)) > cell.ball_radius + ball_tol:
+    if float(np.linalg.norm(u_act)) > cell.ball_radius + ball_tol:
         return False
-    phi = cell.ensemble.phi if phi is None else phi
-    codes_u = _encode_values(phi @ u + cell.ensemble.xi, cell.delta)
+    codes_u = _encode_values(cell.phi @ u_act + cell.ensemble.xi, cell.delta)
     return int(np.abs(codes_u - cell.codes).sum()) <= r
 
 
@@ -173,7 +167,7 @@ def cell_contains(cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: fl
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (cell.dim,):
         raise ValueError(f"point has shape {u.shape}, expected ({cell.dim},)")
-    return cell.on_support(u) and verified_member(cell, u, r, ball_tol)
+    return cell.on_support(u) and verified_member(cell, cell.restrict(u), r, ball_tol)
 
 
 def _ball_exits(x0: np.ndarray, directions: np.ndarray, radius: float) -> np.ndarray:
@@ -303,13 +297,13 @@ def estimate_width(
         pulled = exits * max(1.0 - margin, 0.0)
         best = int(np.argmax(pulled))
         value = float(pulled[best])
-        witness = cell.embed(center_act + value * directions[:, best])
-        if cell_contains(cell, witness, r=int(r), ball_tol=_BALL_TOL):
+        witness = center_act + value * directions[:, best]
+        if verified_member(cell, witness, int(r), _BALL_TOL):
             break
         margin *= 2.0
     return WidthEstimate(
         value=value,
-        witness=witness,
+        witness=cell.embed(witness),
         num_directions=directions.shape[1],
         center=center.copy(),
     )

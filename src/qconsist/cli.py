@@ -368,7 +368,7 @@ def _build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
         if name == "check":
             tier_group = p.add_mutually_exclusive_group()
             tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (a few seconds)")
-            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 25 s)")
+            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 10 s)")
     return parser, sub
 
 
@@ -390,7 +390,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _cmd_check(opts, "full" if args.full else "quick")
         return _HANDLERS[args.command](opts)
-    except (CliError, ValueError, RuntimeError, OSError, ArithmeticError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"qconsist: error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,18 +76,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.k is not None and not 1 <= self.k <= self.n:
-            raise ValueError(f"k must satisfy 1 <= k <= n, got {self.k}")
+        SignalModel(self.n, self.k)
+        QuantizerSpec(self.delta)
         if self.r < 0:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.directions < 1:
             raise ValueError(f"directions must be >= 1, got {self.directions}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
         m_list = tuple(int(m) for m in self.m_list)
         if any(m < 1 for m in m_list):
             raise ValueError("every M must be >= 1")

@@ -61,8 +61,7 @@ class QuantizedObservation:
         object.__setattr__(self, "codes", codes)
         if codes.ndim != 1:
             raise ValueError(f"codes must be a 1-D vector, got shape {codes.shape}")
-        if not (np.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be a positive finite real, got {self.delta}")
+        QuantizerSpec(self.delta)
 
     def __len__(self) -> int:
         return self.codes.shape[0]

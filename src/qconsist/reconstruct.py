@@ -41,7 +41,9 @@ verified_member accepts, however it rounds:
   - rho = (R + _BALL_TOL)(1 + gamma_(2k+2)): the computed norm
     sqrt(fl(u.u)) is at least ||u|| (1 - gamma_k)^(1/2) (1 - eps).
   - A computed product p_j = fl(a_j.u) lies within
-    gamma_k ||a_j|| rho + k*2**-1074 of a_j.u (sec. 3.1 above).
+    gamma_k ||a_j|| rho + k*2**-1074 of a_j.u (sec. 3.1 above), in any
+    summation order.  These k-term products are exactly what
+    verified_member computes on the support cell, whose `phi` is A.
   - floor(fl(fl(p_j + xi_j)/delta)) = code_j puts p_j within
     delta/2 + 2 eps s_j of delta*code_j - xi_j + delta/2, and c_j, four
     roundings of that value (code to double, times delta, minus xi, plus
@@ -77,7 +79,7 @@ from math import comb
 import numpy as np
 
 from .cellgeom import _BALL_TOL, ConsistencyCell, build_cell, verified_member
-from .sensing import SensingEnsemble
+from .sensing import SensingEnsemble, SignalModel
 
 __all__ = [
     "ReconstructionResult",
@@ -119,6 +121,14 @@ class NoConsistentSolutionError(RuntimeError):
 _DENSE_SHARE = 1.0 / 8.0
 
 
+# Unit roundoff, and Higham's gamma_n of the module docstring.
+_EPS = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    return n * _EPS / (1.0 - n * _EPS)
+
+
 class SingularMatrixError(np.linalg.LinAlgError):
     """The sensing matrix is rank deficient for least squares."""
 
@@ -151,9 +161,7 @@ def _pocs(
 ) -> ReconstructionResult:
     margin = _check_budget(cell.delta, tol, max_iter)
     ball_radius = cell.ball_radius
-    # contiguous copy: keeps BLAS summation order identical to the
-    # unrestricted path, so support=[n] reproduces pocs_consistent bitwise
-    phi = np.ascontiguousarray(cell.phi)
+    phi = cell.phi
     row_norm2 = np.einsum("ij,ij->i", phi, phi)
     m, d = phi.shape
 
@@ -166,7 +174,7 @@ def _pocs(
         u = cell.restrict(x0).copy()
 
     def verified(v: np.ndarray) -> bool:
-        return verified_member(cell, v, ball_tol=_BALL_TOL, phi=phi)
+        return verified_member(cell, v, ball_tol=_BALL_TOL)
 
     def max_violation(v: np.ndarray) -> float:
         y = phi @ v
@@ -180,7 +188,7 @@ def _pocs(
     target_hi = cell.hi - margin
     # The row screen's pad, twice the bound on how far two dot products of
     # a row and u may differ (module docstring).
-    pad_per_mass = 4.0 * (d * 2.0**-53 / (1.0 - d * 2.0**-53)) * np.max(np.abs(phi), axis=1, initial=0.0)
+    pad_per_mass = 4.0 * _gamma(d) * np.max(np.abs(phi), axis=1, initial=0.0)
     pad_underflow = d * 2.0**-1072
 
     def may_move(start: int) -> list[int]:
@@ -271,21 +279,16 @@ def _infeasibility_screen(cell: ConsistencyCell, k: int):
     """
     phi, xi, delta = cell.ensemble.phi, cell.ensemble.xi, cell.delta
     c = cell.lo + delta / 2.0
-    eps = 2.0**-53
-
-    def gamma(n: int) -> float:
-        return n * eps / (1.0 - n * eps)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = (cell.ball_radius + _BALL_TOL) * (1.0 + gamma(2 * k + 2))
+        rho = (cell.ball_radius + _BALL_TOL) * (1.0 + _gamma(2 * k + 2))
         row_norm = np.sqrt(np.einsum("ij,ij->i", phi, phi))
         half = delta / 2.0 + (
-            16.0 * eps * (np.abs(c) + np.abs(xi) + 2.0 * delta)
-            + 2.0 * gamma(k) * rho * row_norm
+            16.0 * _EPS * (np.abs(c) + np.abs(xi) + 2.0 * delta)
+            + 2.0 * _gamma(k) * rho * row_norm
             + (k + 4.0 + delta) * 2.0**-1072
         )
         magnitude = np.abs(c) + half + rho * row_norm
-    pad_rel = 2.0 * gamma(cell.m + 2 * k + 4)
+    pad_rel = 2.0 * _gamma(cell.m + 2 * k + 4)
     pad_underflow = (cell.m + k) * 2.0**-1068
 
     def certified(support: tuple[int, ...]) -> bool:
@@ -327,8 +330,7 @@ def qcs_enumerate(
     needs more than `max_iter` cycles fails the same way.
     """
     n = ensemble.n
-    if not 1 <= k <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= k <= n, got k={k}, n={n}")
+    SignalModel(n, k)
     total = comb(n, k)
     if total > enumeration_cap:
         raise EnumerationCapError(

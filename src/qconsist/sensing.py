@@ -70,7 +70,9 @@ class Signal:
 class SensingEnsemble:
     """One sensing instance: matrix rows `phi`, dither `xi`, resolution, seed.
 
-    Immutable after creation; safe to share read-only across threads.
+    `phi` is stored C-contiguous, the one layout every product with it is
+    rounded in.  Immutable after creation; safe to share read-only across
+    threads.
     """
 
     phi: np.ndarray
@@ -79,7 +81,7 @@ class SensingEnsemble:
     seed: int
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
+        phi = np.ascontiguousarray(self.phi, dtype=np.float64)
         xi = np.asarray(self.xi, dtype=np.float64)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "xi", xi)

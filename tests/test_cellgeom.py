@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qconsist.cellgeom import (
+    _BALL_TOL,
     NotInCellError,
     _ray_exits,
     _random_directions,
@@ -20,6 +21,7 @@ from qconsist.cellgeom import (
 )
 from qconsist.quantizer import QuantizerSpec, _encode_values
 from qconsist.randkit import Stream, substream
+from qconsist.reconstruct import pocs_consistent
 from qconsist.sensing import SensingEnsemble, SignalModel, gen_ensemble, sample_signal, sense
 
 UNIT = QuantizerSpec(1.0)
@@ -198,14 +200,29 @@ def test_width_of_unconstrained_ball():
 
 
 def test_cell_phi_is_the_support_slice_or_the_ensemble_matrix():
-    # ray exits multiply with this F-order slice; a C-order copy rounds some
-    # exits differently in the last bit
+    # every product with a cell's phi is rounded in the one C-order layout
     ens = gen_ensemble(16, 5, UNIT, 8)
     support = np.array([0, 3])
     cell = build_cell(ens, np.zeros(16), support=support)
     assert np.array_equal(cell.phi, ens.phi[:, support])
-    assert cell.phi.flags.f_contiguous
+    assert cell.phi.flags.c_contiguous
     assert build_cell(ens, np.zeros(16)).phi is ens.phi
+
+
+def test_ensemble_layout_does_not_change_widths_or_pocs_results():
+    # an F-order phi is stored C-order, so its cells round every product as
+    # the original's do
+    for seed in range(40):
+        ens = gen_ensemble(256, 8, UNIT, seed)
+        ens_f = SensingEnsemble(phi=np.asfortranarray(ens.phi), xi=ens.xi, spec=ens.spec, seed=seed)
+        sig = sample_signal(SignalModel.unit_ball(8), Stream(seed))
+        codes = sense(ens, sig).codes
+        a, b = (estimate_width(build_cell(e, codes), sig.x, 256, Stream(seed)) for e in (ens, ens_f))
+        assert a.value == b.value and np.array_equal(a.witness, b.witness)
+        if seed < 4:
+            a, b = (pocs_consistent(e, codes, max_iter=500) for e in (ens, ens_f))
+            assert np.array_equal(a.x_star, b.x_star)
+            assert (a.iterations, a.consistent, a.residual) == (b.iterations, b.consistent, b.residual)
 
 
 def test_width_of_unit_interval_cell():
@@ -284,10 +301,10 @@ def test_width_witness_verifies():
     sig = sample_signal(SignalModel.unit_ball(5), Stream(14))
     cell = build_cell(ens, sense(ens, sig).codes)
     est = estimate_width(cell, sig.x, 128, Stream(15))
-    assert cell_contains(cell, est.witness, ball_tol=1e-9)
+    assert cell_contains(cell, est.witness, ball_tol=_BALL_TOL)
     assert abs(np.linalg.norm(est.witness - est.center) - est.value) < 1e-9
     relaxed = estimate_width(cell, sig.x, 128, Stream(15), r=3)
-    assert cell_contains(cell, relaxed.witness, r=3, ball_tol=1e-9)
+    assert cell_contains(cell, relaxed.witness, r=3, ball_tol=_BALL_TOL)
     assert relaxed.value >= est.value
 
 
@@ -300,7 +317,7 @@ def test_width_witness_pulled_back_off_a_code_boundary():
     sig = sample_signal(SignalModel(8, None), stream)
     cell = build_cell(ens, sense(ens, sig).codes, 1.0, sig.support)
     est = estimate_width(cell, sig.x, 512, stream)
-    assert cell_contains(cell, est.witness, ball_tol=1e-9)
+    assert cell_contains(cell, est.witness, ball_tol=_BALL_TOL)
     assert abs(np.linalg.norm(est.witness - sig.x) - est.value) < 1e-15
     assert 0.0038 < est.value < 0.0040
 

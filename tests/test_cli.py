@@ -104,6 +104,14 @@ def test_bounds_overflow_is_a_one_line_error(capsys, argv):
     assert err.startswith("qconsist: error: ") and err.count("\n") == 1
 
 
+def test_failed_allocation_is_a_one_line_error(capsys):
+    # 20e12 x 8 doubles is about 1.1 PiB, beyond any 47-bit user address
+    # space, so the allocation fails at once even under memory overcommit
+    code, out, err = run_cli(capsys, "sense", "--m", "20000000000000", "--n", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("qconsist: error: ") and err.count("\n") == 1
+
+
 # normal, subnormal, huge-integer and non-finite flag values
 _BOUNDS_VALUES = st.one_of(
     st.sampled_from(

@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qconsist.quantizer import QuantizerSpec, l1_discrepancy
+from qconsist.bounds import min_measurements, predicted_eps
+from qconsist.buffon import DumbbellConfig
+from qconsist.experiments import ExperimentConfig
+from qconsist.quantizer import QuantizedObservation, QuantizerSpec, l1_discrepancy
 from qconsist.randkit import Stream, substream
+from qconsist.reconstruct import qcs_enumerate
 from qconsist.sensing import (
     SensingEnsemble,
     SignalModel,
@@ -145,3 +149,38 @@ def test_rotational_invariance_smoke():
     mean_a, se_a = mean_stat(x, 1000)
     mean_b, se_b = mean_stat(x_rot, 2000)
     assert abs(mean_a - mean_b) < 3.0 * math.hypot(se_a, se_b)
+
+
+# Every entry point that takes a sparsity k or a resolution delta, called
+# with everything else valid (n = 4).
+_TAKES_K = {
+    "SignalModel": lambda k: SignalModel(4, k),
+    "ExperimentConfig": lambda k: ExperimentConfig(mode="qcs", n=4, k=k),
+    "qcs_enumerate": lambda k: qcs_enumerate(gen_ensemble(8, 4, UNIT, 0), np.zeros(8), k),
+    "min_measurements": lambda k: min_measurements(0.5, 0.1, 1.0, 4, k),
+    "predicted_eps": lambda k: predicted_eps(10_000, 0.1, 1.0, 4, k),
+}
+_TAKES_DELTA = {
+    "QuantizerSpec": QuantizerSpec,
+    "QuantizedObservation": lambda delta: QuantizedObservation(np.zeros(3), delta),
+    "ExperimentConfig": lambda delta: ExperimentConfig(mode="grfcq", n=4, delta=delta),
+    "DumbbellConfig": lambda delta: DumbbellConfig(4, np.zeros(4), np.ones(4), 0.1, delta),
+    "min_measurements": lambda delta: min_measurements(0.5, 0.1, delta, 4),
+    "predicted_eps": lambda delta: predicted_eps(10_000, 0.1, delta, 4),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [pytest.param(call, k, id=f"{name}-k={k}") for name, call in _TAKES_K.items() for k in (0, 5)]
+    + [
+        pytest.param(call, delta, id=f"{name}-delta={delta}")
+        for name, call in _TAKES_DELTA.items()
+        for delta in (0.0, -1.0, math.inf, math.nan)
+    ],
+)
+def test_bad_sparsity_or_resolution_is_rejected_at_every_entry_point(entry, value):
+    with pytest.raises(ValueError):
+        entry(value)
+    # the same entry point accepts a valid value
+    entry(2 if isinstance(value, int) else 0.5)
