@@ -74,9 +74,9 @@ def min_measurements(
     (k None) and 2*k*ln(56*n/(sqrt(k)*eps)) for k-sparse ones, this is the
     smallest m >= 1 with m >= r + factor*(r*ln(e*m/r) + base).  For r = 0
     the r*ln(e*m/r) term is taken as 0, giving ceil(factor*base).  For
-    r > 0, m appears on both sides, so the value is found by fixed-point
-    iteration started from the r = 0 count, then walked down to the
-    smallest integer satisfying the inequality.
+    r > 0 the formula needs m >= r, so every solution exceeds
+    max(factor*base, r); from there m <- ceil(r + factor*(r*ln(e*m/r) + base))
+    never decreases and stops at the smallest solution.
     """
     _check_common(epsilon0, eta, delta)
     SignalModel(n, k)
@@ -84,23 +84,15 @@ def min_measurements(
         raise ValueError(f"r must be >= 0, got {r}")
     factor = (4.0 * delta + 2.0 * epsilon0) / epsilon0
     base = _complexity(epsilon0, n, k) + _tail(eta)
-    m = max(1, math.ceil(factor * base))
     if r == 0:
-        return m
-
-    def rhs(m: int) -> float:
-        return r + factor * (r * math.log(math.e * m / r) + base)
-
+        return max(1, math.ceil(factor * base))
+    m = max(math.ceil(factor * base), r)
     for _ in range(100):
-        m_next = max(1, math.ceil(rhs(m)))
+        m_next = math.ceil(r + factor * (r * math.log(math.e * m / r) + base))
         if m_next == m:
-            break
+            return m
         m = m_next
-    else:
-        raise RuntimeError("fixed-point iteration for the relaxed measurement count did not settle")
-    while m > 1 and (m - 1) >= rhs(m - 1):
-        m -= 1
-    return m
+    raise RuntimeError("fixed-point iteration for the relaxed measurement count did not settle")
 
 
 def rho_constants(rho: float) -> RhoConstants:

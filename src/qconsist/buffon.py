@@ -176,28 +176,43 @@ def estimate_p1(
     return ProbEstimate.from_hits(int(_events(rows, xi, cfg).sum()), throws)
 
 
-def _tail_moment(c: np.ndarray, n: int) -> np.ndarray:
-    """T(c) = int_c^1 (1-v^2)^p (v-c) dv with p = (n-3)/2, and 0 for c >= 1.
-
-    T(c) = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), where I_p(c) = int_c^1 (1-v^2)^p dv
-    follows the reduction I_p = (2p*I_(p-1) - c*(1-c^2)^p)/(2p+1) up from
-    I_0 = 1-c (odd n) or I_(-1/2) = arccos c (even n).
-    """
-    c = np.minimum(c, 1.0)
+def _tail_integral(c: np.ndarray, n: int) -> np.ndarray:
+    """I_p(c) = int_c^1 (1-v^2)^p dv with p = (n-3)/2, for c <= 1, by the reduction
+    I_p = (2p*I_(p-1) - c*(1-c^2)^p)/(2p+1) up from I_0 = 1-c (odd n) or I_(-1/2) = arccos c (even n)."""
     s = 1.0 - c * c
     p, tail = (0.0, 1.0 - c) if n % 2 else (-0.5, np.arccos(c))
     while p < (n - 3) / 2.0:
         p += 1.0
         tail = (2.0 * p * tail - c * s**p) / (2.0 * p + 1.0)
-    return s ** ((n - 1) / 2.0) / (n - 1) - c * tail
+    return tail
+
+
+def _tail_moment(c: np.ndarray, n: int) -> np.ndarray:
+    """T(c) = int_c^1 (1-v^2)^p (v-c) dv = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), and 0 for c >= 1."""
+    c = np.minimum(c, 1.0)
+    return (1.0 - c * c) ** ((n - 1) / 2.0) / (n - 1) - c * _tail_integral(c, n)
+
+
+# a*(T(rho) - T(rho + h)) cancels to an error of about a*1e-16; where (n+1)*h <
+# _EXPANSION_SWITCH*s, s = 1 - rho^2, its Taylor series to third order in h/s,
+# from T' = -I_p and T'' = s^p, replaces it (error below 1e-11 for n <= 9).
+# The factor s keeps the series away from rho -> 1.
+_EXPANSION_SWITCH = 0.01
 
 
 def _fixed_norm_p1(a: np.ndarray, rho_ratio: float, n: int) -> np.ndarray:
-    # int_0^1 (1-v^2)^p [(v-rho)_+ - (v-rho-1/a)_+] dv = T(rho) - T(rho + 1/a);
+    # int_0^1 (1-v^2)^p [(v-rho)_+ - (v-rho-h)_+] dv = T(rho) - T(rho + h), h = 1/a;
     # both terms vanish for rho >= 1, where the balls swallow the segment.
     if not rho_ratio >= 0.0:
         raise ValueError(f"rho_ratio must be >= 0, got {rho_ratio}")
-    return 1.0 - 2.0 * kappa(n) * a * (_tail_moment(rho_ratio, n) - _tail_moment(rho_ratio + 1.0 / a, n))
+    two_kappa, p, h = 2.0 * kappa(n), (n - 3) / 2.0, 1.0 / a
+    s = np.float64(1.0 - rho_ratio * rho_ratio)  # so that rho >= 1 yields nan, not an exception
+    with np.errstate(all="ignore"):  # warnings come only from the branch np.where drops
+        closed = 1.0 - two_kappa * a * (_tail_moment(rho_ratio, n) - _tail_moment(rho_ratio + h, n))
+        x = h / s
+        terms = 0.5 - x * p * rho_ratio / 3.0 - x * x * p * (s - 2.0 * (p - 1.0) * rho_ratio**2) / 12.0
+        series = 1.0 - two_kappa * (_tail_integral(min(rho_ratio, 1.0), n) - h * s**p * terms)
+    return np.where((n + 1) * h < _EXPANSION_SWITCH * s, series, closed)
 
 
 def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
@@ -205,7 +220,7 @@ def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
 
     `a` is the projected segment length in grid units, `rho_ratio` the
     ball-diameter-to-segment ratio 2r/L; the result is 1.0 for
-    rho_ratio >= 1.
+    rho_ratio >= 1.  At large `a` its series in 1/a takes over.
     """
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError(f"segment length ratio must be positive and finite, got {a}")
@@ -271,7 +286,9 @@ def verify_bound_chain(n: int, alpha: float, throws: int, stream: Stream) -> Bou
     RADIUS_WEIGHT radius rule, estimates the Gaussian-projector event
     probability, evaluates the exact chi-mixture, and checks the ordering
     p_hat <= mixture (within 3 binomial stderr) <= concavity bound
-    <= final bound.
+    <= final bound.  At n = 2 the concavity step fails in fact from alpha ~ 512
+    on (`ok` False): the mixture tends to 1 - (2/pi)*arccos(pi*w/2) ~ 0.2057,
+    above the bound's limit w = RADIUS_WEIGHT ~ 0.2021, and Monte Carlo agrees.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")

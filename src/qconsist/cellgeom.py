@@ -162,8 +162,15 @@ def verified_member(cell: ConsistencyCell, u_act: np.ndarray, r: int = 0, ball_t
     return int(np.abs(codes_u - cell.codes).sum()) <= r
 
 
+def _check_level(r: int) -> int:
+    if r < 0:
+        raise ValueError(f"relaxation level must be >= 0, got {r}")
+    return int(r)
+
+
 def cell_contains(cell: ConsistencyCell, u: np.ndarray, r: int = 0, ball_tol: float = 0.0) -> bool:
     """Integer-verified membership of u in the (r-relaxed) cell."""
+    r = _check_level(r)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (cell.dim,):
         raise ValueError(f"point has shape {u.shape}, expected ({cell.dim},)")
@@ -235,10 +242,8 @@ def ray_exit_strict(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray) -> flo
 
 def ray_exit_relaxed(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray, r: int) -> float:
     """sup{t >= 0 : at most r grid crossings along [x0, x0 + t d], inside the ball}."""
-    if r < 0:
-        raise ValueError(f"relaxation level must be >= 0, got {r}")
     x0_act, d_act = _check_ray_inputs(cell, x0, d)
-    return float(_ray_exits(cell, x0_act, d_act[:, None], int(r))[0])
+    return float(_ray_exits(cell, x0_act, d_act[:, None], _check_level(r))[0])
 
 
 @dataclass(frozen=True)
@@ -283,6 +288,7 @@ def estimate_width(
     """
     if num_directions < 1:
         raise ValueError(f"need at least one direction, got {num_directions}")
+    r = _check_level(r)
     center = np.asarray(center, dtype=np.float64)
     if not cell_contains(cell, center):
         raise NotInCellError("width center is not a member of the cell")
@@ -291,14 +297,14 @@ def estimate_width(
     axes = np.hstack([np.eye(dim), -np.eye(dim)])
     directions = np.hstack([rand, axes])
     center_act = cell.restrict(center)
-    exits = _ray_exits(cell, center_act, directions, int(r))
+    exits = _ray_exits(cell, center_act, directions, r)
     margin = _EXIT_MARGIN
     while True:
         pulled = exits * max(1.0 - margin, 0.0)
         best = int(np.argmax(pulled))
         value = float(pulled[best])
         witness = center_act + value * directions[:, best]
-        if verified_member(cell, witness, int(r), _BALL_TOL):
+        if verified_member(cell, witness, r, _BALL_TOL):
             break
         margin *= 2.0
     return WidthEstimate(

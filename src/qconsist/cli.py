@@ -166,13 +166,13 @@ _KEYS: dict[str, list[Key]] = {
         Key("throws", "int", 100_000, "Monte Carlo throws"),
     ],
     "bounds": [
-        Key("mode", "str", "grfcq", "grfcq | qcs | relaxed-grfcq | relaxed-qcs | rho | covering | predicted-eps"),
+        Key("mode", "str", "count", "count | rho | covering | predicted-eps"),
         Key("eps0", "float", 0.5, "target proximity, > 0"),
         Key("eta", "float", 0.1, "failure probability, in (0,1)"),
         Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
         Key("n", "int", 8, "signal dimension"),
-        Key("k", "int", None, "sparsity (sparse modes)"),
-        Key("r", "int", 0, "allowed code discrepancy (relaxed modes)"),
+        Key("k", "int", None, "sparsity; omit for unit-ball signals (count, predicted-eps)"),
+        Key("r", "int", 0, "allowed code discrepancy (count mode)"),
         Key("m", "int", None, "measurement count (predicted-eps)"),
         Key("rho", "float", 0.1, "inconsistency fraction (rho mode), in (0,1)"),
         Key("s", "float", 1.5, "covering radius (covering mode), in (0,3]"),
@@ -286,28 +286,12 @@ def _cmd_buffon(opts: dict) -> int:
     return 0
 
 
-# bounds count mode -> (reads --k, reads --r); a mode ignores the flags it does not read
-_COUNTS = {
-    "grfcq": (False, False),
-    "qcs": (True, False),
-    "relaxed-grfcq": (False, True),
-    "relaxed-qcs": (True, True),
-}
-
-
 def _cmd_bounds(opts: dict) -> int:
     mode = opts["mode"]
-    if mode in _COUNTS:
-        sparse, relaxed = _COUNTS[mode]
-        if sparse and opts["k"] is None:
-            raise CliError(f"mode {mode} requires --k")
-        value = min_measurements(
-            opts["eps0"], opts["eta"], opts["delta"], opts["n"],
-            k=opts["k"] if sparse else None, r=opts["r"] if relaxed else 0,
-        )
+    if mode == "count":
+        value = min_measurements(opts["eps0"], opts["eta"], opts["delta"], opts["n"], k=opts["k"], r=opts["r"])
     elif mode == "rho":
-        print(json.dumps(asdict(rho_constants(opts["rho"])), indent=2))
-        return 0
+        value = json.dumps(asdict(rho_constants(opts["rho"])), indent=2)
     elif mode == "covering":
         value = covering_bound(opts["s"], opts["n"])
     elif mode == "predicted-eps":

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from qconsist.bounds import covering_bound, min_measurements, predicted_eps, rho_constants
-from qconsist.cli import main
 
 
 # Second implementation, written from the formulas directly; the library must
@@ -109,7 +111,7 @@ def test_relaxed_nondecreasing_in_r_and_self_consistent():
             assert (m - 1) < relaxed_rhs(m - 1, 0.5, 0.1, 1.0, 8, k, r)
 
 
-def test_relaxed_qcs_mode_requires_k(capsys):
+def test_relaxed_qcs_mode_requires_k():
     # the library needs a valid k for the sparse count, and names k before r
     for k in (0, 9):
         with pytest.raises(ValueError, match="sparsity must satisfy 1 <= k <= n"):
@@ -118,9 +120,23 @@ def test_relaxed_qcs_mode_requires_k(capsys):
             min_measurements(0.5, 0.1, 1.0, 8, k, r=-1)
     with pytest.raises(ValueError, match="r must be >= 0"):
         min_measurements(0.5, 0.1, 1.0, 8, 3, r=-1)
-    # the CLI's sparse modes refuse to run without --k
-    assert main(["bounds", "--mode", "relaxed-qcs", "--n", "8", "--r", "2"]) == 1
-    assert capsys.readouterr().err == "qconsist: error: mode relaxed-qcs requires --k\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps0=st.floats(1e-3, 2.0),
+    eta=st.floats(1e-3, 0.49),
+    delta=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    n_k=st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(n), st.none() | st.integers(1, n))),
+    r=st.integers(0, 10**6),
+)
+@example(eps0=0.5, eta=0.1, delta=1.0, n_k=(8, None), r=2000)  # r far above the r = 0 count
+@example(eps0=0.5, eta=0.1, delta=1.0, n_k=(8, None), r=1277)
+def test_relaxed_count_is_the_least_solution(eps0, eta, delta, n_k, r):
+    n, k = n_k
+    m = min_measurements(eps0, eta, delta, n, k, r)
+    assert m >= r and m >= relaxed_rhs(m, eps0, eta, delta, n, k, r)
+    assert m - 1 < r or m - 1 < relaxed_rhs(m - 1, eps0, eta, delta, n, k, r)
 
 
 def test_rho_constants_anchor_and_limits():

@@ -1,5 +1,6 @@
 """Crossing-event logic, kappa bounds, closed forms vs quadrature and MC."""
 
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from scipy.integrate import quad
 import qconsist
 
 from qconsist.buffon import (
+    _EXPANSION_SWITCH,
     RADIUS_WEIGHT,
     DumbbellConfig,
     ProbEstimate,
@@ -30,6 +32,7 @@ from qconsist.buffon import (
     mixture_p1,
     verify_bound_chain,
 )
+from qconsist.cli import main
 from qconsist.randkit import Stream, uniform
 
 
@@ -54,6 +57,32 @@ def quad_conditional_integral(a: float, rho_ratio: float, n: int) -> float:
         integrand, 0.0, math.pi / 2.0, points=kinks or None, epsabs=1e-13, epsrel=1e-10, limit=200
     )
     return 1.0 - 2.0 * kappa(n) * a * value
+
+
+def quad_capped_conditional(a: float, rho_ratio: float, n: int) -> float:
+    """Oracle for any segment length, however long.
+
+    a*[(v-rho)_+ - (v-rho-1/a)_+] equals min(a*(v-rho)_+, 1), which has no
+    difference of nearly equal terms; with v = sin(u) as above.  The
+    integral over [asin(rho), pi/2] without the cap is the a -> infinity
+    limit.
+    """
+    lo = math.asin(rho_ratio)
+    kink = math.asin(min(rho_ratio + 1.0 / a, 1.0))
+
+    def integrand(u: float) -> float:
+        return math.cos(u) ** (n - 2) * min(max(a * (math.sin(u) - rho_ratio), 0.0), 1.0)
+
+    value, _ = quad(
+        integrand, lo, math.pi / 2.0, points=[kink] if lo < kink < math.pi / 2.0 else None,
+        epsabs=1e-13, epsrel=1e-10, limit=200,
+    )
+    return 1.0 - 2.0 * kappa(n) * value
+
+
+def conditional_limit(rho_ratio: float, n: int) -> float:
+    value, _ = quad(lambda u: math.cos(u) ** (n - 2), math.asin(rho_ratio), math.pi / 2.0, epsabs=1e-13)
+    return 1.0 - 2.0 * kappa(n) * value
 
 
 def quad_mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:
@@ -247,6 +276,40 @@ def test_conditional_integral_matches_n3_closed_form():
 @example(n=64, a=1.0, rho=0.0)
 def test_conditional_integral_matches_quadrature(n, a, rho):
     assert abs(conditional_integral(a, rho, n) - quad_conditional_integral(a, rho, n)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9, 0.999])
+def test_conditional_integral_holds_at_long_segments(n, rho):
+    # the closed form cancels to an error of about a*1e-16; the series takes over
+    for a in 10.0 ** np.array([2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 50, 100, 200, 300]):
+        value = conditional_integral(a, rho, n)
+        assert abs(value - quad_capped_conditional(a, rho, n)) <= 1e-9
+        if a >= 1e12:
+            assert abs(value - conditional_limit(rho, n)) <= 1e-9
+
+
+def test_conditional_integral_limit_anchor():
+    # 1 - 2*kappa_4*I_(1/2)(0.2), where the closed form used to return 1.0
+    assert conditional_integral(1e300, 0.2, 4) == pytest.approx(0.2529399219, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9])
+def test_conditional_integral_is_continuous_across_the_series_switch(n, rho):
+    # At rho -> 1 the closed form's own error near the switch grows to about
+    # 1e-10 (rho = 0.999); the long-segment test covers that at 1e-9.
+    switch = (n + 1) / (_EXPANSION_SWITCH * (1.0 - rho * rho))
+    below = conditional_integral(float(np.nextafter(switch, 0.0)), rho, n)
+    above = conditional_integral(float(np.nextafter(switch, np.inf)), rho, n)
+    assert abs(below - above) <= 1e-10
+
+
+def test_bound_chain_holds_at_huge_alpha(capsys):
+    assert main(["buffon", "--n", "4", "--alpha", "1e17", "--throws", "20000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mixture"] == pytest.approx(0.2012633593, abs=1e-9)
+    assert report["ok"] is True
 
 
 @pytest.mark.parametrize("n, alpha", [(2, 0.5), (4, 2.0), (8, 4.0)])

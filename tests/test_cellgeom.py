@@ -67,6 +67,21 @@ def test_ray_exit_preconditions():
         ray_exit_relaxed(cell, np.array([0.5, 0.0]), np.array([1.0, 0.0]), -1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cell, x: cell_contains(cell, x, r=-1),
+        lambda cell, x: ray_exit_relaxed(cell, x, np.array([1.0, 0.0]), -1),
+        lambda cell, x: estimate_width(cell, x, 8, Stream(3), r=-1),
+    ],
+    ids=["cell_contains", "ray_exit_relaxed", "estimate_width"],
+)
+def test_negative_relaxation_level_raises(call):
+    cell = build_cell(manual_ensemble([[1.0, 0.0]], [0.0]), np.array([0]))
+    with pytest.raises(ValueError, match="relaxation level must be >= 0, got -1"):
+        call(cell, np.array([0.5, 0.0]))
+
+
 def test_nan_direction_raises():
     ens = gen_ensemble(16, 2, UNIT, 10)
     sig = sample_signal(SignalModel.unit_ball(2), Stream(11))

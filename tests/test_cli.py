@@ -26,10 +26,16 @@ def run_cli(capsys, *argv):
 
 
 def test_bounds_prints_the_formula_value(capsys):
-    code, out, err = run_cli(capsys, "bounds", "--mode", "grfcq", "--n", "4", "--eps0", "0.5", "--eta", "0.1", "--delta", "1")
+    # count is the default mode
+    code, out, err = run_cli(capsys, "bounds", "--n", "4", "--eps0", "0.5", "--eta", "0.1", "--delta", "1")
     assert code == 0
-    assert int(out.strip()) == min_measurements(0.5, 0.1, 1.0, 4)
+    assert int(out.strip()) == min_measurements(0.5, 0.1, 1.0, 4) == 207
     assert err == ""
+
+
+def test_bounds_rejects_the_removed_count_modes(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--mode", "grfcq")
+    assert (code, out, err) == (1, "", "qconsist: error: unknown bounds mode 'grfcq'\n")
 
 
 def test_bounds_other_modes(capsys):
@@ -40,15 +46,18 @@ def test_bounds_other_modes(capsys):
     payload = json.loads(out)
     assert list(payload) == ["rho", "rho_bar", "c_rho", "d_rho"]
     assert 4.17 < payload["c_rho"] < 4.2
-    code, out, _ = run_cli(capsys, "bounds", "--mode", "qcs", "--n", "32", "--k", "3")
+    code, out, _ = run_cli(capsys, "bounds", "--mode", "count", "--n", "32", "--k", "3")
     assert code == 0 and int(out.strip()) > 0
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (("--mode", "relaxed-grfcq", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 8, r=2)),
-        (("--mode", "relaxed-qcs", "--k", "3", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 8, 3, 2)),
+        (("--mode", "count", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 8, r=2)),
+        (("--mode", "count", "--k", "3", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 8, 3, 2)),
+        (("--n", "32", "--k", "3", "--r", "2"), lambda: min_measurements(0.5, 0.1, 1.0, 32, 3, 2)),
+        # r far above the r = 0 count: the least m >= r that solves the inequality
+        (("--n", "8", "--r", "2000"), lambda: 100830),
         (("--mode", "predicted-eps", "--m", "10000"), lambda: predicted_eps(10_000, 0.1, 1.0, 8)),
         (("--mode", "predicted-eps", "--m", "10000", "--k", "3"), lambda: predicted_eps(10_000, 0.1, 1.0, 8, 3)),
     ],
@@ -66,14 +75,14 @@ def test_unknown_subcommand_exits_one(capsys):
 
 
 def test_missing_required_flag_value_exits_one(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--mode", "qcs", "--n", "8")  # --k missing
+    code, _, err = run_cli(capsys, "bounds", "--mode", "predicted-eps", "--n", "8")  # --m missing
     assert code == 1
     assert "error" in err
 
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(("bounds", "--mode", "grfcq", "--n", "4", "--out", "x.txt"), "--out"), (("sense", "--threads", "2"), "--threads")],
+    [(("bounds", "--mode", "count", "--n", "4", "--out", "x.txt"), "--out"), (("sense", "--threads", "2"), "--threads")],
 )
 def test_flag_a_subcommand_does_not_read_exits_one(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -84,7 +93,7 @@ def test_flag_a_subcommand_does_not_read_exits_one(capsys, tmp_path, monkeypatch
 
 
 def test_unrecognized_flag_shows_the_subcommand_usage(capsys):
-    code, out, err = run_cli(capsys, "bounds", "--mode", "grfcq", "--out", "x.txt")
+    code, out, err = run_cli(capsys, "bounds", "--mode", "count", "--out", "x.txt")
     assert (code, out) == (1, "")
     assert err.startswith("usage: qconsist bounds")
     assert "--out" in err
@@ -93,7 +102,7 @@ def test_unrecognized_flag_shows_the_subcommand_usage(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--mode", "grfcq", "--eps0", "1e-320"),
+        ("--mode", "count", "--eps0", "1e-320"),
         ("--mode", "covering", "--s", "1e-300", "--n", "1000"),
         ("--mode", "predicted-eps", "--m", "1" + "0" * 400),
     ],
@@ -125,7 +134,7 @@ _BOUNDS_VALUES = st.one_of(
 
 @settings(max_examples=300)
 @given(
-    mode=st.sampled_from(["grfcq", "qcs", "relaxed-grfcq", "relaxed-qcs", "rho", "covering", "predicted-eps"]),
+    mode=st.sampled_from(["count", "rho", "covering", "predicted-eps"]),
     flags=st.dictionaries(st.sampled_from(["eps0", "eta", "delta", "n", "k", "r", "m", "rho", "s"]), _BOUNDS_VALUES),
 )
 def test_bounds_never_raises(mode, flags):
