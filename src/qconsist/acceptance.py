@@ -1,11 +1,13 @@
 """Acceptance suite: the thirteen release criteria behind `qconsist check`.
 
-Each criterion is a self-contained check with a pinned tolerance.  The
-`full` tier runs the stated sample sizes; the `quick` tier is a smoke
-variant with reduced Monte Carlo budgets and, where a tolerance is a
-fixed multiple of a standard error, the tolerance recomputed for the
-reduced budget.  Fixed windows (slope ranges, constant ranges) never
-change between tiers.
+Each criterion is a self-contained check with a pinned tolerance, and
+states each of its Monte Carlo budgets once, at the call that uses it, at
+its full-tier size.  The `full` tier runs those sizes; the `quick` tier is
+a smoke variant that divides every budget by 4 (integer division).  A
+tolerance that is a fixed multiple of a standard error is recomputed from
+the budget it runs, so C11's stability tolerance scales by sqrt(4).  Fixed
+windows (slope ranges, constant ranges) and the `CRITERIA` runtime budgets
+never change between tiers.
 """
 
 from __future__ import annotations
@@ -60,55 +62,14 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class Tier:
+    """A tier runs every criterion's stated Monte Carlo budget // divisor."""
+
     name: str
-    quantizer_samples: int
-    error_samples: int
-    noise_trials: int
-    buffon_throws: int
-    grid_throws: int
-    chain_throws: int
-    decay_trials: int
-    decay_directions: int
-    scan_draws: int
-    scan_signals: int
-    scan_directions: int
-    bias_trials: int
-    bias_stability_tol: float
+    divisor: int
 
 
-FULL = Tier(
-    name="full",
-    quantizer_samples=100_000,
-    error_samples=1_000_000,
-    noise_trials=1000,
-    buffon_throws=1_000_000,
-    grid_throws=100_000,
-    chain_throws=100_000,
-    decay_trials=50,
-    decay_directions=512,
-    scan_draws=20,
-    scan_signals=200,
-    scan_directions=128,
-    bias_trials=200,
-    bias_stability_tol=0.02,
-)
-
-QUICK = Tier(
-    name="quick",
-    quantizer_samples=20_000,
-    error_samples=200_000,
-    noise_trials=150,
-    buffon_throws=200_000,
-    grid_throws=20_000,
-    chain_throws=20_000,
-    decay_trials=12,
-    decay_directions=128,
-    scan_draws=8,
-    scan_signals=60,
-    scan_directions=64,
-    bias_trials=60,
-    bias_stability_tol=0.05,
-)
+FULL = Tier("full", 1)
+QUICK = Tier("quick", 4)
 
 GRFCQ_M_LIST = (32, 64, 128, 256, 512, 1024)
 QCS_M_LIST = (64, 128, 256, 512, 1024, 2048)
@@ -129,16 +90,20 @@ class _Run:
     def seed(self, number: int) -> int:
         return derive_stream(self.master, 1000 + number)
 
+    def budget(self, stated: int) -> int:
+        """The tier's share of a budget stated at its full-tier size."""
+        return stated // self.tier.divisor
+
     def keep(self, csv_name: str, records) -> None:
         """Write records as out/csv_name when an output directory was given."""
         if self.out is not None:
             write_records(self.out / csv_name, records)
 
     def width_sweep(self, number: int, mode: str, n: int, m_list, k: int | None = None, r: int = 0):
-        """The tier's width sweep (decay trials and directions) seeded for criterion `number`."""
+        """A width sweep of 50 trials x 512 directions, seeded for criterion `number`."""
         cfg = ExperimentConfig(
-            mode=mode, n=n, k=k, r=r, m_list=m_list, trials=self.tier.decay_trials,
-            directions=self.tier.decay_directions, delta=1.0, eta=0.1, seed=self.seed(number),
+            mode=mode, n=n, k=k, r=r, m_list=m_list, trials=self.budget(50),
+            directions=self.budget(512), delta=1.0, eta=0.1, seed=self.seed(number),
         )
         return decay_sweep(cfg, self.threads)
 
@@ -152,7 +117,7 @@ class _Run:
 
 def criterion_quantizer_laws(run: _Run) -> tuple[bool, str]:
     """C1: exact shift covariance and monotonicity of the encoder."""
-    n = run.tier.quantizer_samples
+    n = run.budget(100_000)
     stream = Stream(run.seed(1))
     groups = 16
     per = n // groups
@@ -173,7 +138,7 @@ def criterion_quantizer_laws(run: _Run) -> tuple[bool, str]:
 
 def criterion_error_law(run: _Run) -> tuple[bool, str]:
     """C2: dithered error moments and the M*delta^2/12 noise-power law."""
-    n = run.tier.error_samples
+    n = run.budget(1_000_000)
     delta = 1.0
     spec = QuantizerSpec(delta)
     stream = Stream(run.seed(2))
@@ -185,7 +150,7 @@ def criterion_error_law(run: _Run) -> tuple[bool, str]:
     mean_tol = 3.0 * (delta / math.sqrt(12.0)) / math.sqrt(n)
     var_dev = abs(var / (delta**2 / 12.0) - 1.0)
     cfg = ExperimentConfig(
-        mode="noise", n=8, m_list=(1000,), trials=run.tier.noise_trials, delta=delta,
+        mode="noise", n=8, m_list=(1000,), trials=run.budget(1000), delta=delta,
         seed=run.seed(22),
     )
     ratio = noise_power_check(cfg).per_m[0]["mean_ratio"]
@@ -199,7 +164,7 @@ def criterion_error_law(run: _Run) -> tuple[bool, str]:
 def criterion_classic_buffon(run: _Run) -> tuple[bool, str]:
     """C3: radius-0 dumbbell at unit projector norm vs the 1 - 1/pi closed form."""
     cfg = DumbbellConfig(n=2, p=np.zeros(2), q=np.array([0.5, 0.0]), radius=0.0, delta=1.0)
-    est = estimate_p1(cfg, run.tier.buffon_throws, Stream(run.seed(3)), phi_norm=1.0)
+    est = estimate_p1(cfg, run.budget(1_000_000), Stream(run.seed(3)), phi_norm=1.0)
     target = 1.0 - 1.0 / math.pi
     dev = abs(est.p_hat - target)
     return dev < 0.005, f"p_hat={est.p_hat:.5f} vs {target:.5f}, |diff|={dev:.5f} (tol 0.005)"
@@ -216,15 +181,15 @@ def criterion_dumbbell_grid(run: _Run) -> tuple[bool, str]:
             q = np.zeros(n)
             q[0] = alpha
             cfg = DumbbellConfig(n=n, p=p, q=q, radius=dumbbell_radius(p, q, n), delta=1.0)
-            est = estimate_p1(cfg, run.tier.grid_throws, substream(run.seed(4), idx))
+            est = estimate_p1(cfg, run.budget(100_000), substream(run.seed(4), idx))
             bound = consistent_pair_bound(alpha, 1)
             if est.p_hat > bound + 3.0 * est.stderr:
                 failures.append(f"(n={n}, alpha={alpha}): {est.p_hat:.4f} > {bound:.4f}")
     chain_fail = []
     for j, (n, alpha) in enumerate(((2, 0.5), (4, 2.0), (8, 4.0))):
-        report = verify_bound_chain(n, alpha, run.tier.chain_throws, substream(run.seed(44), j))
+        report = verify_bound_chain(n, alpha, run.budget(100_000), substream(run.seed(44), j))
         if not report.ok:
-            chain_fail.append(f"(n={n}, alpha={alpha})")
+            chain_fail.append(f"(n={n}, alpha={alpha}): {report.failed_step}")
     ok = not failures and not chain_fail
     detail = "12 grid cells within bound + 3*stderr; chain ordering holds on 3 spot cells"
     if failures or chain_fail:
@@ -292,9 +257,9 @@ def criterion_scan(run: _Run) -> tuple[bool, str]:
         eps0=0.8,
         eta=0.1,
         delta=1.0,
-        trials=run.tier.scan_draws,
-        signals=run.tier.scan_signals,
-        directions=run.tier.scan_directions,
+        trials=run.budget(20),
+        signals=run.budget(200),
+        directions=run.budget(128),
         seed=run.seed(9),
     )
     result = proximity_violation_scan(cfg, run.threads)
@@ -336,7 +301,7 @@ def criterion_bias(run: _Run) -> tuple[bool, str]:
         lam=0.25,
         delta=1.0,
         m_list=BIAS_M_LIST,
-        trials=run.tier.bias_trials,
+        trials=run.budget(200),
         seed=run.seed(11),
     )
     result = bias_experiment(cfg, run.threads)
@@ -345,7 +310,7 @@ def criterion_bias(run: _Run) -> tuple[bool, str]:
     stability = result.summary["c_stability"]
     dist_ok = all(abs(row["distance"] - 0.25) < 1e-12 for row in result.per_m)
     in_range = all(0.55 <= c <= 0.85 for c in cs)
-    tol = run.tier.bias_stability_tol
+    tol = 0.02 * math.sqrt(run.tier.divisor)  # scales as the stability's stderr, 1/sqrt(trials)
     stable = stability is not None and stability <= tol
     ok = dist_ok and in_range and stable
     detail = (

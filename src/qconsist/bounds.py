@@ -43,11 +43,15 @@ class RhoConstants:
     d_rho: float
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+
+
 def _check_common(epsilon0: float, eta: float, delta: float) -> None:
     if not (math.isfinite(epsilon0) and epsilon0 > 0.0):
         raise ValueError(f"epsilon0 must be positive and finite, got {epsilon0}")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    _check_eta(eta)
     QuantizerSpec(delta)
 
 

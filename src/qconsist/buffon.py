@@ -73,9 +73,7 @@ def dumbbell_radius(p: np.ndarray, q: np.ndarray, n: int) -> float:
 
     Satisfies s' >= ||p - q||/(8*sqrt(n)); degenerate for p == q.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    dist = float(np.linalg.norm(p - q))
+    dist = math.dist(p, q)  # scales before squaring: overflows only if the distance does
     if dist == 0.0:
         raise ValueError("ball centers coincide; the radius rule is degenerate")
     return RADIUS_WEIGHT / (4.0 * kappa(n)) * dist
@@ -266,7 +264,11 @@ def mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class BoundChainReport:
-    """End-to-end check p_hat <= mixture <= jensen_bound <= bound."""
+    """End-to-end check p_hat <= mixture <= jensen_bound <= bound.
+
+    `failed_step` is the first step that fails ("monte-carlo", "concavity" or
+    "final"; None when `ok`); `mixture_under_bound` checks mixture <= bound.
+    """
 
     n: int
     alpha: float
@@ -277,6 +279,8 @@ class BoundChainReport:
     jensen_bound: float
     bound: float
     ok: bool
+    failed_step: str | None
+    mixture_under_bound: bool
 
 
 def verify_bound_chain(n: int, alpha: float, throws: int, stream: Stream) -> BoundChainReport:
@@ -287,8 +291,10 @@ def verify_bound_chain(n: int, alpha: float, throws: int, stream: Stream) -> Bou
     probability, evaluates the exact chi-mixture, and checks the ordering
     p_hat <= mixture (within 3 binomial stderr) <= concavity bound
     <= final bound.  At n = 2 the concavity step fails in fact from alpha ~ 512
-    on (`ok` False): the mixture tends to 1 - (2/pi)*arccos(pi*w/2) ~ 0.2057,
-    above the bound's limit w = RADIUS_WEIGHT ~ 0.2021, and Monte Carlo agrees.
+    on (`ok` False, `failed_step` "concavity"): the mixture tends to
+    1 - (2/pi)*arccos(pi*w/2) ~ 0.2057, above the concavity bound's limit
+    w = RADIUS_WEIGHT ~ 0.2021, and Monte Carlo agrees; the mixture stays
+    under the final bound, whose limit is 0.25.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -303,11 +309,12 @@ def verify_bound_chain(n: int, alpha: float, throws: int, stream: Stream) -> Bou
     shrink = RADIUS_WEIGHT
     jensen = shrink + (1.0 - shrink) * 2.0 / (2.0 + math.sqrt(math.pi / 2.0) * (1.0 - shrink) * alpha)
     bound = consistent_pair_bound(alpha, 1)
-    ok = (
-        est.p_hat <= mixture + 3.0 * est.stderr
-        and mixture <= jensen + 1e-9
-        and jensen <= bound + 1e-12
+    steps = (
+        ("monte-carlo", est.p_hat <= mixture + 3.0 * est.stderr),
+        ("concavity", mixture <= jensen + 1e-9),
+        ("final", jensen <= bound + 1e-12),
     )
+    failed_step = next((name for name, holds in steps if not holds), None)
     return BoundChainReport(
         n=n,
         alpha=alpha,
@@ -317,5 +324,7 @@ def verify_bound_chain(n: int, alpha: float, throws: int, stream: Stream) -> Bou
         mixture=mixture,
         jensen_bound=jensen,
         bound=bound,
-        ok=ok,
+        ok=failed_step is None,
+        failed_step=failed_step,
+        mixture_under_bound=mixture <= bound + 1e-9,
     )

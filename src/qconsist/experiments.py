@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import min_measurements, predicted_eps
+from .bounds import _check_eta, min_measurements, predicted_eps
 from .cellgeom import build_cell, empirical_worst_case, estimate_width
 from .quantizer import QuantizerSpec, l1_discrepancy, quantization_error
 from .randkit import Stream, derive_stream
@@ -78,6 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         SignalModel(self.n, self.k)
         QuantizerSpec(self.delta)
+        _check_eta(self.eta)
         if self.r < 0:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if self.trials < 1:
@@ -330,7 +331,7 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
         "baseline_fit": None if baseline_fit is None else vars(baseline_fit),
     }
     if fit is None:
-        summary["fit_note"] = "fit undefined: needs >= 3 distinct M values and > 1 trial"
+        summary["fit_note"] = "fit undefined: needs >= 3 distinct M values with positive finite medians"
     return CampaignResult(records, summary, fit, baseline_fit)
 
 

@@ -286,9 +286,34 @@ def test_buffon_subcommand_reports_chain(capsys):
     code, out, _ = run_cli(capsys, "buffon", "--n", "3", "--alpha", "2", "--throws", "20000", "--seed", "3")
     assert code == 0
     payload = json.loads(out)
-    assert list(payload) == ["n", "alpha", "radius", "p_hat", "stderr", "mixture", "jensen_bound", "bound", "ok"]
+    assert list(payload) == [
+        "n", "alpha", "radius", "p_hat", "stderr", "mixture", "jensen_bound", "bound", "ok",
+        "failed_step", "mixture_under_bound",
+    ]
     assert payload["ok"] is True
     assert payload["p_hat"] <= payload["bound"] + 3 * payload["stderr"]
+
+
+def test_buffon_names_the_failed_step_and_checks_the_mixture_against_the_bound(capsys):
+    # at n = 2 the concavity step fails from alpha ~ 512 on; the end bound holds
+    code, out, _ = run_cli(capsys, "buffon", "--n", "2", "--alpha", "1000", "--throws", "200000", "--seed", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["failed_step"] == "concavity"
+    assert payload["mixture_under_bound"] is True
+    assert round(payload["mixture"], 4) == 0.2061 and round(payload["bound"], 4) == 0.2515
+
+
+def test_buffon_at_huge_alpha_stops_at_the_code_guard(capsys):
+    # the centre distance itself must not overflow on the way there
+    code, out, err = run_cli(capsys, "buffon", "--alpha", "1e300", "--throws", "50")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[1:] == ["qconsist: error: input magnitude exceeds the 2**62 code guard; refusing to wrap"]
+
+
+def test_decay_rejects_eta_outside_the_unit_interval(capsys):
+    code, out, err = run_cli(capsys, "decay", "--eta", "1.5", "--n", "3", "--m-list", "8,16,32", "--trials", "1")
+    assert (code, out, err) == (1, "", "qconsist: error: eta must lie in (0, 1), got 1.5\n")
 
 
 def test_noise_subcommand(tmp_path, capsys):

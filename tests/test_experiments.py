@@ -96,6 +96,12 @@ def test_decay_sweep_single_point_has_no_fit():
     assert "fit_note" in result.summary
 
 
+def test_decay_sweep_fits_a_single_trial_over_three_m_values():
+    result = decay_sweep(small_cfg(trials=1))
+    assert len(result.records) == 3
+    assert result.fit is not None and "fit_note" not in result.summary
+
+
 def test_decay_sweep_deterministic_across_threads():
     cfg = small_cfg()
     serial = decay_sweep(cfg, threads=1)

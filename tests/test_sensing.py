@@ -151,8 +151,8 @@ def test_rotational_invariance_smoke():
     assert abs(mean_a - mean_b) < 3.0 * math.hypot(se_a, se_b)
 
 
-# Every entry point that takes a sparsity k or a resolution delta, called
-# with everything else valid (n = 4).
+# Every entry point that takes a sparsity k, a resolution delta or a failure
+# probability eta, called with everything else valid (n = 4).
 _TAKES_K = {
     "SignalModel": lambda k: SignalModel(4, k),
     "ExperimentConfig": lambda k: ExperimentConfig(mode="qcs", n=4, k=k),
@@ -168,6 +168,11 @@ _TAKES_DELTA = {
     "min_measurements": lambda delta: min_measurements(0.5, 0.1, delta, 4),
     "predicted_eps": lambda delta: predicted_eps(10_000, 0.1, delta, 4),
 }
+_TAKES_ETA = {
+    "ExperimentConfig": lambda eta: ExperimentConfig(mode="grfcq", n=4, eta=eta),
+    "min_measurements": lambda eta: min_measurements(0.5, eta, 1.0, 4),
+    "predicted_eps": lambda eta: predicted_eps(10_000, eta, 1.0, 4),
+}
 
 
 @pytest.mark.parametrize(
@@ -177,6 +182,11 @@ _TAKES_DELTA = {
         pytest.param(call, delta, id=f"{name}-delta={delta}")
         for name, call in _TAKES_DELTA.items()
         for delta in (0.0, -1.0, math.inf, math.nan)
+    ]
+    + [
+        pytest.param(call, eta, id=f"{name}-eta={eta}")
+        for name, call in _TAKES_ETA.items()
+        for eta in (0.0, 1.0, 1.5, math.nan)
     ],
 )
 def test_bad_sparsity_or_resolution_is_rejected_at_every_entry_point(entry, value):
