@@ -133,7 +133,7 @@ def criterion_quantizer_laws(run: _Run) -> tuple[bool, str]:
         mu = lam + uniform(stream, 0.0, 50.0, per)
         mono_fails += int(np.sum(plain > _encode_values(mu, delta)))
     ok = covariance_fails == 0 and mono_fails == 0
-    return ok, f"{n} draws: {covariance_fails} covariance failures, {mono_fails} monotonicity failures"
+    return ok, f"{groups * per} draws: {covariance_fails} covariance failures, {mono_fails} monotonicity failures"
 
 
 def criterion_error_law(run: _Run) -> tuple[bool, str]:
@@ -298,6 +298,7 @@ def criterion_bias(run: _Run) -> tuple[bool, str]:
     cfg = ExperimentConfig(
         mode="bias",
         n=8,
+        k=2,
         lam=0.25,
         delta=1.0,
         m_list=BIAS_M_LIST,
@@ -334,7 +335,7 @@ def criterion_rho(run: _Run) -> tuple[bool, str]:
 # C13's artifacts: (file, campaign, config keys besides delta=1.0 and the seed).
 _DETERMINISM_ARTIFACTS = (
     ("decay.csv", decay_sweep, dict(mode="grfcq", n=6, m_list=(32, 64, 128), trials=6, directions=64)),
-    ("bias.csv", bias_experiment, dict(mode="bias", n=6, lam=0.25, m_list=(200, 400), trials=8)),
+    ("bias.csv", bias_experiment, dict(mode="bias", n=6, k=2, lam=0.25, m_list=(200, 400), trials=8)),
     ("noise.csv", noise_power_check, dict(mode="noise", n=6, m_list=(256,), trials=16)),
 )
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -50,33 +50,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class Key:
-    name: str
-    kind: str  # int | float | ints | str
-    default: object
-    help: str
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _convert(key: Key, raw: str):
-    try:
-        if key.kind == "int":
-            return int(raw)
-        if key.kind == "float":
-            return float(raw)
-        if key.kind == "ints":
-            return tuple(int(part) for part in str(raw).split(",") if part.strip())
-        return str(raw)
-    except ValueError as exc:
-        raise CliError(f"invalid value for {key.name}: {raw!r} ({exc})") from exc
-
-
-def _load_config(path: str, keys: list[Key]) -> dict:
-    known = {k.name for k in keys}
+def _load_config(path: str, known) -> dict[str, str]:
+    """The raw `key = value` strings of a config file; keys must be in `known`."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -95,96 +70,75 @@ def _load_config(path: str, keys: list[Key]) -> dict:
     return values
 
 
-def _merge(args: argparse.Namespace, keys: list[Key]) -> dict:
-    config = _load_config(args.config, keys) if getattr(args, "config", None) else {}
-    merged = {}
-    for key in keys:
-        flag_value = getattr(args, key.name, None)
-        if flag_value is not None:
-            merged[key.name] = _convert(key, flag_value)
-        elif key.name in config:
-            merged[key.name] = _convert(key, config[key.name])
-        else:
-            merged[key.name] = key.default
-    return merged
+def _ints(raw: str) -> tuple[int, ...]:
+    """A comma-separated list of ints; empty items are skipped."""
+    try:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list value: {raw!r}") from None
 
 
-# Each subcommand declares only the keys it reads.
-_SEED = Key("seed", "int", 0, "master seed, unsigned 64-bit")
-_THREADS = Key("threads", "int", os.cpu_count() or 1, "worker thread cap; results are independent of it")
+# Every option once: name -> (type, help).  A help text must hold for every
+# subcommand that lists the option.
+_OPTIONS = {
+    "seed": (int, "master seed, unsigned 64-bit"),
+    "threads": (int, "worker thread cap; results are independent of it"),
+    "out": (str, "output path"),
+    "mode": (str, "count | rho | covering | predicted-eps"),
+    "eps0": (float, "target proximity, > 0"),
+    "eta": (float, "failure probability, in (0,1); the sweeps' predicted overlay uses it"),
+    "n": (int, "signal (ambient) dimension; buffon needs >= 2"),
+    "m": (int, "number of measurements; bounds reads it in predicted-eps mode"),
+    "k": (int, "signal sparsity; None, where it is the default, means unit-ball signals"),
+    "r": (int, "allowed code discrepancy in integer steps; bounds reads it in count mode"),
+    "m_list": (_ints, "comma-separated measurement counts, strictly ascending"),
+    "trials": (int, "trials per M"),
+    "directions": (int, "random directions per width estimate"),
+    "delta": (float, "quantizer resolution, measurement units"),
+    "lam": (float, "offset in resolution units; |lam|*delta must stay below 1"),
+    "tol": (float, "slab interior margin; None means 1e-9*delta"),
+    "max_iter": (int, "projection-cycle cap; None means 100000, or 200 per support with --k"),
+    "dump_ensemble": (str, "write the ensemble in binary form to this path"),
+    "alpha": (float, "center distance in resolution units, > 0"),
+    "throws": (int, "Monte Carlo throws"),
+    "rho": (float, "inconsistency fraction (rho mode), in (0,1)"),
+    "s": (float, "covering radius (covering mode), in (0,3]"),
+}
 
 
-def _out(default: str | None = None) -> Key:
-    return Key("out", "str", default, "output path")
+_CAMPAIGN = dict(seed=0, threads=os.cpu_count() or 1)
+_INSTANCE = dict(seed=0, out=None, n=8, m=64, k=None, delta=1.0)
+_WIDTH = dict(n=8, k=None, m_list=(32, 64, 128, 256, 512, 1024), trials=50, directions=512, delta=1.0, eta=0.1)
 
-
-# Shared by the width sweeps, decay and relaxed.
-_WIDTH_KEYS = [
-    Key("n", "int", 8, "signal dimension"),
-    Key("k", "int", None, "sparsity; set for sparse-signal sweeps"),
-    Key("m_list", "ints", (32, 64, 128, 256, 512, 1024), "comma-separated measurement counts, strictly ascending"),
-    Key("trials", "int", 50, "trials per M"),
-    Key("directions", "int", 512, "random directions per width estimate"),
-    Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-    Key("eta", "float", 0.1, "failure probability for the predicted overlay, in (0,1)"),
-]
-
-_KEYS: dict[str, list[Key]] = {
-    "sense": [_SEED, _out()]
-    + [
-        Key("n", "int", 8, "signal dimension"),
-        Key("m", "int", 64, "number of measurements"),
-        Key("k", "int", None, "sparsity; omit for unit-ball signals"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-        Key("dump_ensemble", "str", None, "write the ensemble in binary form to this path"),
-    ],
-    "reconstruct": [_SEED, _out()]
-    + [
-        Key("n", "int", 8, "signal dimension"),
-        Key("m", "int", 64, "number of measurements"),
-        Key("k", "int", None, "sparsity; set to solve by support enumeration"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-        Key("tol", "float", None, "slab interior margin; default 1e-9*delta"),
-        Key("max_iter", "int", None, "projection-cycle cap; default 100000, or 200 per support with --k"),
-    ],
-    "decay": [_SEED, _THREADS, _out("decay.csv"), *_WIDTH_KEYS],
-    "relaxed": [_SEED, _THREADS, _out("relaxed.csv"), *_WIDTH_KEYS]
-    + [Key("r", "int", 2, "allowed code discrepancy (integer steps)")],
-    "bias": [_SEED, _THREADS, _out("bias.csv")]
-    + [
-        Key("n", "int", 8, "signal dimension"),
-        Key("k", "int", 2, "sparsity of the test signals"),
-        Key("lam", "float", 0.25, "offset in resolution units; |lam|*delta must stay below 1"),
-        Key("m_list", "ints", (1000, 10000), "comma-separated measurement counts, strictly ascending"),
-        Key("trials", "int", 200, "trials per M"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-    ],
-    "buffon": [_SEED, _out()]
-    + [
-        Key("n", "int", 4, "ambient dimension, >= 2"),
-        Key("alpha", "float", 2.0, "center distance in resolution units, > 0"),
-        Key("throws", "int", 100_000, "Monte Carlo throws"),
-    ],
-    "bounds": [
-        Key("mode", "str", "count", "count | rho | covering | predicted-eps"),
-        Key("eps0", "float", 0.5, "target proximity, > 0"),
-        Key("eta", "float", 0.1, "failure probability, in (0,1)"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-        Key("n", "int", 8, "signal dimension"),
-        Key("k", "int", None, "sparsity; omit for unit-ball signals (count, predicted-eps)"),
-        Key("r", "int", 0, "allowed code discrepancy (count mode)"),
-        Key("m", "int", None, "measurement count (predicted-eps)"),
-        Key("rho", "float", 0.1, "inconsistency fraction (rho mode), in (0,1)"),
-        Key("s", "float", 1.5, "covering radius (covering mode), in (0,3]"),
-    ],
-    "noise": [_SEED, _THREADS, _out("noise.csv")]
-    + [
-        Key("n", "int", 8, "signal dimension"),
-        Key("m_list", "ints", (1000,), "comma-separated measurement counts, strictly ascending"),
-        Key("trials", "int", 1000, "trials per M"),
-        Key("delta", "float", 1.0, "quantizer resolution, measurement units"),
-    ],
-    "check": [_SEED, _THREADS, _out("check-artifacts")],
+# subcommand -> (description, {option: default}); each takes only the options it reads
+_COMMANDS = {
+    "sense": ("generate an ensemble + signal and print the quantized codes", dict(_INSTANCE, dump_ensemble=None)),
+    "reconstruct": (
+        "sense a fresh instance and solve for a consistent estimate",
+        dict(_INSTANCE, tol=None, max_iter=None),
+    ),
+    "decay": (
+        "width-vs-M sweep with the linear baseline (CSV + JSON summary)",
+        dict(_CAMPAIGN, out="decay.csv", **_WIDTH),
+    ),
+    "relaxed": ("decay sweep at a fixed allowed code discrepancy r", dict(_CAMPAIGN, out="relaxed.csv", **_WIDTH, r=2)),
+    "bias": (
+        "constant-offset discrepancy floor experiment",
+        dict(_CAMPAIGN, out="bias.csv", n=8, k=2, lam=0.25, m_list=(1000, 10000), trials=200, delta=1.0),
+    ),
+    "buffon": (
+        "single-projection crossing probability vs its closed-form bound",
+        dict(seed=0, out=None, n=4, alpha=2.0, throws=100_000),
+    ),
+    "bounds": (
+        "print a measurement-count or constant formula value",
+        dict(mode="count", eps0=0.5, eta=0.1, delta=1.0, n=8, k=None, r=0, m=None, rho=0.1, s=1.5),
+    ),
+    "noise": (
+        "quantization-noise power against the M*delta^2/12 law",
+        dict(_CAMPAIGN, out="noise.csv", n=8, m_list=(1000,), trials=1000, delta=1.0),
+    ),
+    "check": ("run the acceptance suite (exit 2 on any criterion failure)", dict(_CAMPAIGN, out="check-artifacts")),
 }
 
 
@@ -269,6 +223,10 @@ def _cmd_sweep(name: str, opts: dict) -> int:
         mode = "qcs"
     settable = {f.name for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig(mode=mode, **{key: value for key, value in opts.items() if key in settable})
+    out = Path(opts["out"])
+    # fail before the campaign, not after it, when the records cannot be written
+    if out.is_dir() or not out.parent.is_dir() or not os.access(out.parent, os.W_OK):
+        raise CliError(f"--out {opts['out']} is not a file in a writable directory")
     _note(f"{name}: {cfg}")
     result = campaign(cfg, threads=opts["threads"])
     write_records(opts["out"], result.records)
@@ -304,8 +262,8 @@ def _cmd_bounds(opts: dict) -> int:
     return 0
 
 
-def _cmd_check(opts: dict, tier_name: str) -> int:
-    tier = acceptance.FULL if tier_name == "full" else acceptance.QUICK
+def _cmd_check(opts: dict) -> int:
+    tier = acceptance.FULL if opts["full"] else acceptance.QUICK
     _note(f"acceptance suite, {tier.name} tier, seed {opts['seed']}, artifacts in {opts['out']}")
     results = acceptance.run_all(
         tier, master=opts["seed"], out_dir=opts["out"], threads=opts["threads"], progress=_note
@@ -322,6 +280,7 @@ _HANDLERS = {
     "reconstruct": _cmd_reconstruct,
     "buffon": _cmd_buffon,
     "bounds": _cmd_bounds,
+    "check": _cmd_check,
     **{name: partial(_cmd_sweep, name) for name in _SWEEPS},
 }
 
@@ -333,22 +292,13 @@ def _build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
         description="Quantized Gaussian projections: consistent reconstruction and bound validation.",
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    descriptions = {
-        "sense": "generate an ensemble + signal and print the quantized codes",
-        "reconstruct": "sense a fresh instance and solve for a consistent estimate",
-        "decay": "width-vs-M sweep with the linear baseline (CSV + JSON summary)",
-        "relaxed": "decay sweep at a fixed allowed code discrepancy r",
-        "bias": "constant-offset discrepancy floor experiment",
-        "buffon": "single-projection crossing probability vs its closed-form bound",
-        "bounds": "print a measurement-count or constant formula value",
-        "noise": "quantization-noise power against the M*delta^2/12 law",
-        "check": "run the acceptance suite (exit 2 on any criterion failure)",
-    }
-    for name, keys in _KEYS.items():
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
+    for name, (description, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=description, description=description)
         p.add_argument("--config", default=None, help="flat key=value config file; flags override it")
-        for key in keys:
-            p.add_argument(_flag(key.name), dest=key.name, default=None, help=f"{key.help} (default: {key.default})")
+        for option, default in defaults.items():
+            kind, text = _OPTIONS[option]
+            flag = "--" + option.replace("_", "-")
+            p.add_argument(flag, type=kind, default=default, help=f"{text} (default: {default})")
         if name == "check":
             tier_group = p.add_mutually_exclusive_group()
             tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (a few seconds)")
@@ -366,13 +316,17 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        opts = _merge(args, _KEYS[args.command])
+        if args.config:
+            # Config strings become the subcommand's defaults, which argparse
+            # converts with each option's own type; a flag given still wins.
+            config = _load_config(args.config, _COMMANDS[args.command][1])
+            sub.choices[args.command].set_defaults(**config)
+            args = parser.parse_args(argv)
+        opts = vars(args)
         if "seed" in opts and not 0 <= opts["seed"] < 2**64:
             raise CliError("--seed must be an unsigned 64-bit integer")
         if "threads" in opts and opts["threads"] < 1:
             raise CliError("--threads must be >= 1")
-        if args.command == "check":
-            return _cmd_check(opts, "full" if args.full else "quick")
         return _HANDLERS[args.command](opts)
     except (CliError, ValueError, RuntimeError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"qconsist: error: {exc}", file=sys.stderr)

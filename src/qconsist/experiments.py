@@ -336,19 +336,20 @@ def decay_sweep(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
 
 
 def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
-    """Constant-offset discrepancy floor: x* = x + lam*delta*e_i on the support.
+    """Constant-offset discrepancy floor: x* = x + lam*delta*e_i on the support of a cfg.k-sparse x.
 
     Per M reports the mean and stderr of discrepancy/M and the implied
     constant c with discrepancy/M ~ c*|lam|; the distance ||x - x*|| equals
     |lam|*delta for every M, demonstrating the non-decaying floor.
     """
+    if cfg.k is None:
+        raise ValueError("bias_experiment needs a sparsity k: the offset moves one support coordinate")
     if abs(cfg.lam) * cfg.delta >= 1.0:
         raise ValueError(
             f"|lam|*delta = {abs(cfg.lam) * cfg.delta} >= 1 pushes the offset signal out of the unit ball"
         )
     spec = QuantizerSpec(cfg.delta)
-    k = cfg.k or 2
-    model = SignalModel.sparse_ball(cfg.n, k)
+    model = SignalModel.sparse_ball(cfg.n, cfg.k)
 
     def measure(m, ens_seed, sig_seed):
         ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
@@ -371,7 +372,7 @@ def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
             "distance": abs(cfg.lam) * cfg.delta,
         }
 
-    records, per_m = _run(cfg, ("bias", k, 0), measure, threads, row)
+    records, per_m = _run(cfg, ("bias", cfg.k, 0), measure, threads, row)
     cs = [row["c"] for row in per_m if row["c"] is not None]
     stability = None
     if len(cs) >= 2 and np.mean(cs) > 0.0:
@@ -379,7 +380,7 @@ def bias_experiment(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult:
     summary = {
         "mode": "bias",
         "n": cfg.n,
-        "k": k,
+        "k": cfg.k,
         "lam": cfg.lam,
         "delta": cfg.delta,
         "trials": cfg.trials,

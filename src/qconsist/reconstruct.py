@@ -3,7 +3,7 @@
 The consistent solvers run cyclic projections onto the slab constraints of
 a consistency cell (with a small interior margin, so solutions verify
 strictly inside the half-open cells) followed by projection onto the
-radius-R ball.  A result is flagged consistent only when the cell's
+unit ball.  A result is flagged consistent only when the cell's
 integer-verified membership test (cellgeom.verified_member) accepts it;
 residual tolerances alone never decide consistency.
 
@@ -241,33 +241,31 @@ def _pocs(
 def pocs_consistent(
     ensemble: SensingEnsemble,
     codes: np.ndarray,
-    ball_radius: float = 1.0,
     tol: float | None = None,
     max_iter: int = 100_000,
     x0: np.ndarray | None = None,
 ) -> ReconstructionResult:
-    """Find a vector reproducing the target codes inside the radius-R ball.
+    """Find a vector reproducing the target codes inside the unit ball.
 
     Cyclic slab projections with interior margin `tol` (default
     1e-9*delta), then ball projection, until the integer codes verify or
     `max_iter` cycles pass.  `iterations` counts full cycles; a start point
     that already verifies returns unchanged with iterations=0.
     """
-    return _pocs(build_cell(ensemble, codes, ball_radius), tol, max_iter, x0)
+    return _pocs(build_cell(ensemble, codes), tol, max_iter, x0)
 
 
 def pocs_on_support(
     ensemble: SensingEnsemble,
     codes: np.ndarray,
     support: np.ndarray,
-    ball_radius: float = 1.0,
     tol: float | None = None,
     max_iter: int = 100_000,
     x0: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Same iteration restricted to coordinates in `support`; output is
     supported there."""
-    return _pocs(build_cell(ensemble, codes, ball_radius, support), tol, max_iter, x0)
+    return _pocs(build_cell(ensemble, codes, support=support), tol, max_iter, x0)
 
 
 def _infeasibility_screen(cell: ConsistencyCell, k: int):
@@ -312,7 +310,6 @@ def qcs_enumerate(
     ensemble: SensingEnsemble,
     codes: np.ndarray,
     k: int,
-    ball_radius: float = 1.0,
     tol: float | None = None,
     max_iter: int = 200,
     enumeration_cap: int = 100_000,
@@ -336,7 +333,7 @@ def qcs_enumerate(
         raise EnumerationCapError(
             f"support enumeration needs {total} candidates, above the cap {enumeration_cap}"
         )
-    cell = build_cell(ensemble, codes, ball_radius)
+    cell = build_cell(ensemble, codes)
     _check_budget(cell.delta, tol, max_iter)
     certified = _infeasibility_screen(cell, k)
     ruled_out = 0
@@ -344,14 +341,12 @@ def qcs_enumerate(
         if certified(subset):
             ruled_out += 1
             continue
-        result = pocs_on_support(
-            ensemble, codes, np.asarray(subset, dtype=np.intp), ball_radius, tol, max_iter
-        )
+        result = pocs_on_support(ensemble, codes, np.asarray(subset, dtype=np.intp), tol, max_iter)
         if result.consistent:
             return result
     if ruled_out == total:
         message = (
-            f"no {k}-sparse vector in the radius-{ball_radius:g} ball reproduces the codes: "
+            f"no {k}-sparse vector in the radius-1 ball reproduces the codes: "
             f"all {total} supports are certified infeasible"
         )
     else:

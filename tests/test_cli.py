@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qconsist
 from qconsist.bounds import min_measurements, predicted_eps
+from qconsist import cli
 from qconsist.cli import main
 from qconsist.experiments import CSV_HEADER
 from qconsist.sensing import load_ensemble
@@ -146,9 +147,10 @@ def test_bounds_never_raises(mode, flags):
 
 
 def test_bad_numeric_flag_exits_one(capsys):
-    code, _, err = run_cli(capsys, "decay", "--trials", "many")
-    assert code == 1
-    assert "invalid value" in err
+    code, out, err = run_cli(capsys, "decay", "--trials", "many")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: qconsist decay")
+    assert err.splitlines()[-1] == "qconsist: error: argument --trials: invalid int value: 'many'"
 
 
 def test_repeated_m_values_exit_one(tmp_path, capsys):
@@ -160,6 +162,20 @@ def test_repeated_m_values_exit_one(tmp_path, capsys):
     assert code == 1
     assert "strictly ascending" in err
     assert out == "" and not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["decay", "relaxed", "bias", "noise"])
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_exits_one_before_the_campaign(tmp_path, monkeypatch, capsys, command, target):
+    def campaign(cfg, threads):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setitem(cli._SWEEPS, command, (campaign, cli._SWEEPS[command][1]))
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, command, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == f"qconsist: error: --out {out_path} is not a file in a writable directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):
@@ -249,6 +265,76 @@ def test_config_file_merging_and_overrides(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["trials"] == 2
+
+
+_CAMPAIGN = {"seed": 0, "threads": os.cpu_count() or 1}
+_WIDTH = {"n": 8, "k": None, "m_list": (32, 64, 128, 256, 512, 1024), "trials": 50, "directions": 512,
+          "delta": 1.0, "eta": 0.1}
+# Every subcommand's flags and config keys with their defaults, as released;
+# none may be dropped, added or given another default.
+_RELEASED = {
+    "sense": {"seed": 0, "out": None, "n": 8, "m": 64, "k": None, "delta": 1.0, "dump_ensemble": None},
+    "reconstruct": {"seed": 0, "out": None, "n": 8, "m": 64, "k": None, "delta": 1.0, "tol": None, "max_iter": None},
+    "decay": {**_CAMPAIGN, "out": "decay.csv", **_WIDTH},
+    "relaxed": {**_CAMPAIGN, "out": "relaxed.csv", **_WIDTH, "r": 2},
+    "bias": {**_CAMPAIGN, "out": "bias.csv", "n": 8, "k": 2, "lam": 0.25, "m_list": (1000, 10000), "trials": 200,
+             "delta": 1.0},
+    "buffon": {"seed": 0, "out": None, "n": 4, "alpha": 2.0, "throws": 100_000},
+    "bounds": {"mode": "count", "eps0": 0.5, "eta": 0.1, "delta": 1.0, "n": 8, "k": None, "r": 0, "m": None,
+               "rho": 0.1, "s": 1.5},
+    "noise": {**_CAMPAIGN, "out": "noise.csv", "n": 8, "m_list": (1000,), "trials": 1000, "delta": 1.0},
+    "check": {**_CAMPAIGN, "out": "check-artifacts"},
+}
+# option -> (two valid raw values, a value its type rejects or None for strings)
+_SAMPLES = {
+    "seed": ("7", "8", "seven"), "threads": ("3", "4", "1.5"), "out": ("a.csv", "b.csv", None),
+    "mode": ("rho", "covering", None), "eps0": ("0.25", "0.125", "half"), "eta": ("0.2", "0.3", "0,2"),
+    "n": ("5", "6", "5.0"), "m": ("33", "34", "1e3"), "k": ("3", "1", "three"), "r": ("1", "3", "one"),
+    "m_list": ("16,32", "8,64,128", "16;32"), "trials": ("4", "5", "many"), "directions": ("9", "10", "0x10"),
+    "delta": ("0.5", "0.75", "1/2"), "lam": ("0.125", "-0.25", "quarter"), "tol": ("1e-6", "1e-5", "tiny"),
+    "max_iter": ("77", "78", "7.7"), "dump_ensemble": ("e.bin", "f.bin", None), "alpha": ("3.5", "4", "far"),
+    "throws": ("1000", "2000", "1e3"), "rho": ("0.2", "0.3", "rho"), "s": ("2.5", "1", "s"),
+}
+
+
+def test_the_released_options_are_exactly_the_option_table():
+    assert {name: defaults for name, (_, defaults) in cli._COMMANDS.items()} == _RELEASED
+    assert {option for defaults in _RELEASED.values() for option in defaults} == set(cli._OPTIONS) == set(_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "command, option", [(command, option) for command, defaults in _RELEASED.items() for option in defaults]
+)
+def test_every_option_reads_alike_from_flag_and_config(tmp_path, monkeypatch, capsys, command, option):
+    flag = "--" + option.replace("_", "-")
+    first, second, bad = _SAMPLES[option]
+    cfg = tmp_path / "c.cfg"
+
+    def parsed(*argv):
+        seen = {}
+        monkeypatch.setitem(cli._HANDLERS, command, lambda opts: seen.update(opts) or 0)
+        assert main([command, *argv]) == 0
+        return seen[option]
+
+    cfg.write_text(f"{option} = {first}\n", encoding="utf-8")
+    from_flag = parsed(flag, first)
+    assert parsed("--config", str(cfg)) == from_flag != _RELEASED[command][option]
+    assert parsed("--config", str(cfg), flag, second) == parsed(flag, second) != from_flag
+
+    monkeypatch.setenv("COLUMNS", "1000")  # one help entry, one line
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert f"{flag} {option.upper()} {cli._OPTIONS[option][1]} (default: {_RELEASED[command][option]})" in " ".join(
+        capsys.readouterr().out.split()
+    )
+
+    if bad is not None:
+        cfg.write_text(f"{option} = {bad}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        errors = [line for line in err.splitlines() if line.startswith("qconsist: error:")]
+        assert len(errors) == 1 and f"argument {flag}: invalid " in errors[0] and errors[0].endswith(f" value: {bad!r}")
 
 
 def test_decay_reruns_are_identical_modulo_wall_time(tmp_path, capsys):

@@ -73,9 +73,10 @@ def test_config_validation():
 
 
 def test_campaigns_reject_an_empty_m_list():
-    for campaign, mode in ((decay_sweep, "grfcq"), (bias_experiment, "bias"), (noise_power_check, "noise")):
+    campaigns = ((decay_sweep, "grfcq", None), (bias_experiment, "bias", 2), (noise_power_check, "noise", None))
+    for campaign, mode, k in campaigns:
         with pytest.raises(ValueError, match="m_list must not be empty"):
-            campaign(small_cfg(mode=mode, m_list=()))
+            campaign(small_cfg(mode=mode, k=k, m_list=()))
 
 
 def test_decay_sweep_record_layout_and_bounds():
@@ -145,7 +146,7 @@ def test_sparse_relaxed_overlay_matches_qcs():
 
 
 def test_bias_zero_offset_gives_zero_discrepancy():
-    cfg = small_cfg(mode="bias", n=6, lam=0.0, m_list=(64, 128), trials=4)
+    cfg = small_cfg(mode="bias", n=6, k=2, lam=0.0, m_list=(64, 128), trials=4)
     result = bias_experiment(cfg)
     assert all(rec.value == 0.0 for rec in result.records)
     assert all(rec.baseline == 0.0 for rec in result.records)
@@ -162,8 +163,14 @@ def test_bias_constant_distance_and_c_estimate():
 
 
 def test_bias_rejects_offsets_leaving_the_ball():
-    with pytest.raises(ValueError):
-        bias_experiment(small_cfg(mode="bias", lam=1.2, m_list=(64,)))
+    with pytest.raises(ValueError, match="out of the unit ball"):
+        bias_experiment(small_cfg(mode="bias", k=2, lam=1.2, m_list=(64,)))
+
+
+def test_bias_needs_a_sparsity():
+    # the offset moves a support coordinate; unit-ball signals have none
+    with pytest.raises(ValueError, match="needs a sparsity k"):
+        bias_experiment(small_cfg(mode="bias", m_list=(64,)))
 
 
 def test_scan_trivial_epsilon_never_violates():
