@@ -185,16 +185,49 @@ def _tail_integral(c: np.ndarray, n: int) -> np.ndarray:
     return tail
 
 
-def _tail_moment(c: np.ndarray, n: int) -> np.ndarray:
-    """T(c) = int_c^1 (1-v^2)^p (v-c) dv = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), and 0 for c >= 1."""
-    c = np.minimum(c, 1.0)
-    return (1.0 - c * c) ** ((n - 1) / 2.0) / (n - 1) - c * _tail_integral(c, n)
+def _tail_gap(rho: float, h: np.ndarray, n: int) -> np.ndarray:
+    """T(rho) - T(rho + h) for rho >= 0 and h > 0, where
+    T(c) = int_c^1 (1-v^2)^p (v-c) dv = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), and 0 for c >= 1.
+
+    With c0 = rho, c1 = rho + h (both capped at 1), dc = c1 - c0 and
+    s = 1 - c^2, the difference is
+    (s0^(p+1) - s1^(p+1))/(2p+2) - c0*(I_p(c0) - I_p(c1)) + dc*I_p(c1):
+    each power difference is -s0^q*expm1(q*log1p(-dc*(c0+c1)/s0)), and the
+    reduction of _tail_integral runs on the differences I_p(c0) - I_p(c1),
+    from dc (odd n) or arccos c0 - arccos c1 = arcsin(dc*(c0+c1)/(c1*sqrt(s0) + c0*sqrt(s1)))
+    (even n).  No step subtracts two T or I_p values, so a = 1/h times the
+    result errs by about 1e-16*s0^p; the difference of two T values would
+    err by about a*1e-16.
+    """
+    c0 = min(rho, 1.0)
+    if c0 >= 1.0:
+        return np.zeros_like(h)
+    c1 = np.minimum(c0 + h, 1.0)
+    dc = np.where(c1 < 1.0, h, 1.0 - c0)
+    s0, ds = (1.0 - c0) * (1.0 + c0), dc * (c0 + c1)
+    # s1 from s0 - s1 = dc*(c0 + c1), not from the rounded c1, whose last bit
+    # would be a relative error of 1e-16/s1 in s1
+    s1 = np.maximum(s0 - ds, 0.0)
+    log_ratio = np.log1p(np.maximum(-ds / s0, -1.0))  # log(s1/s0)
+
+    def power_gap(q: float) -> np.ndarray:  # s0^q - s1^q
+        return -(s0**q) * np.expm1(q * log_ratio)
+
+    if n % 2:
+        p, gap = 0.0, dc
+    else:
+        p, gap = -0.5, np.arcsin(ds / (c1 * math.sqrt(s0) + c0 * np.sqrt(s1)))
+    while p < (n - 3) / 2.0:
+        p += 1.0
+        gap = (2.0 * p * gap - (c0 * power_gap(p) - dc * s1**p)) / (2.0 * p + 1.0)
+    return power_gap((n - 1) / 2.0) / (n - 1) - c0 * gap + dc * _tail_integral(c1, n)
 
 
-# a*(T(rho) - T(rho + h)) cancels to an error of about a*1e-16; where (n+1)*h <
-# _EXPANSION_SWITCH*s, s = 1 - rho^2, its Taylor series to third order in h/s,
-# from T' = -I_p and T'' = s^p, replaces it (error below 1e-11 for n <= 9).
-# The factor s keeps the series away from rho -> 1.
+# Where (n+1)*h < _EXPANSION_SWITCH*s, s = 1 - rho^2, the Taylor series of
+# a*(T(rho) - T(rho + h)) to third order in h/s, from T' = -I_p and
+# T'' = s^p, replaces _tail_gap (error below 1e-11 for n <= 9), so that h
+# may underflow and a overflow to inf.  The factor s keeps the series away
+# from rho -> 1.
 _EXPANSION_SWITCH = 0.01
 
 
@@ -206,7 +239,7 @@ def _fixed_norm_p1(a: np.ndarray, rho_ratio: float, n: int) -> np.ndarray:
     two_kappa, p, h = 2.0 * kappa(n), (n - 3) / 2.0, 1.0 / a
     s = np.float64(1.0 - rho_ratio * rho_ratio)  # so that rho >= 1 yields nan, not an exception
     with np.errstate(all="ignore"):  # warnings come only from the branch np.where drops
-        closed = 1.0 - two_kappa * a * (_tail_moment(rho_ratio, n) - _tail_moment(rho_ratio + h, n))
+        closed = 1.0 - two_kappa * a * _tail_gap(rho_ratio, h, n)
         x = h / s
         terms = 0.5 - x * p * rho_ratio / 3.0 - x * x * p * (s - 2.0 * (p - 1.0) * rho_ratio**2) / 12.0
         series = 1.0 - two_kappa * (_tail_integral(min(rho_ratio, 1.0), n) - h * s**p * terms)

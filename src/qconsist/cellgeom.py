@@ -26,6 +26,44 @@ first crossings come earliest: those r+1 first crossings all come no later
 than the largest of them, and no other measurement crosses before it.  Each
 direction therefore partitions (r+1)^2 candidates, whatever M is.
 
+On cells with more than _SCREEN_ROWS*(r+1)*dim rows, shot along enough
+directions, a certified row screen first drops the rows that cannot decide
+any exit.  Along a unit d, row j's
+first crossing is at least its reach L_j = dist_j/||phi_j||, with
+dist_j = min(hi_j - w_j, w_j - lo_j).  The exits over the probe, the
+_PROBE_ROWS*(r+1)*dim rows of least reach, come per direction no earlier
+than the exits over all rows, since the (r+1)-th crossing of a subset of
+the candidates comes no earlier.  So U, the largest over all directions of
+min(probe exit, ball exit), bounds every direction's exit, and a row whose
+first crossing comes after U along every direction changes no exit.  The
+rows with L_j*(1 - pad) <= U are kept and go through the exit code above.
+g = phi @ directions stays one product, indexed by the kept rows, so every
+candidate, and so every exit, is the same double as without the screen.
+
+The pad, _SCREEN_PAD = 1e-8, makes "L_j*(1 - pad) > U in floating point"
+imply "computed first crossing > U" for every d, with u = 2^-53 and n = dim:
+- dist_j is the computed min of the two doubles hi - w and w - lo, and the
+  slab end ahead of the ray is one of them (w - lo = -(lo - w) exactly), so
+  |end| >= dist_j holds exactly.  A dist_j <= 0 (an origin on a slab
+  boundary, or past it by rounding) gives L_j <= 0, and U >= 0, so the row
+  is kept.
+- |fl(g)| <= (1 + n u)*||phi_j||*||d|| in any summation order, FMA or not;
+  the computed norm sqrt(sum phi_jk^2) is at least ||phi_j||*(1 - (n/2 + 1)u);
+  and the quotients dist/norm and end/g, the constant 1 - pad and the
+  product L*(1 - pad) each round by at most u.  So, to first order in u,
+  computed first >= computed L*(1 - pad) whenever
+  (1 - pad)*||d|| <= 1 - (1.5n + 6)u.
+- ray_exit_strict and ray_exit_relaxed accept a computed ||d|| within 1e-9
+  of 1, and estimate_width's directions are unit to (n/2 + 2)u; so
+  ||d|| <= 1 + 1e-9 + (n/2 + 2)u, and pad >= 1e-9 + (2n + 8)u is needed,
+  which 1e-8 covers for every n below 4*10^7.  A bare 1e-9 is not enough.
+- The relative bounds hold in the normal range.  Rows whose computed norm
+  is below _TINY = 2^-500 (zero rows, whose L is inf or nan, and rows whose
+  squares underflow) get L = 0 and are kept, and U is raised to at least
+  _TINY.  A dropped row then has a normal L and first crossing, and
+  products that underflow, a subnormal g among them, add at most
+  n*2^-1074, far below u*||phi_j||*||d||, to g.
+
 Width estimates are certified lower bounds: the witness point re-quantizes
 to the cell's codes (integer equality; discrepancy <= r for relaxed cells)
 after a relative 1e-12 pullback that keeps it strictly inside the
@@ -64,6 +102,19 @@ _EXIT_MARGIN = 1e-12
 # Norm slack granted when verifying witnesses against the closed ball; codes
 # are always checked by exact integer equality.
 _BALL_TOL = 1e-9
+
+# Row screen of _ray_exits (module docstring): it runs on cells with more
+# than _SCREEN_ROWS * (r+1) * dim rows and calls with at least _SCREEN_PAIRS
+# (row, direction) pairs, where it pays, and probes the _PROBE_ROWS * (r+1) *
+# dim rows of least reach.  Below _SCREEN_PAIRS its dozen small numpy calls
+# cost more than they save, and more still in the threaded campaign runner,
+# where they hold the GIL that the large unscreened ones release.
+# _SCREEN_PAD and _TINY make it exact.
+_SCREEN_ROWS = 20
+_SCREEN_PAIRS = 2**15
+_PROBE_ROWS = 8
+_SCREEN_PAD = 1e-8
+_TINY = 2.0**-500
 
 
 class NotInCellError(ValueError):
@@ -185,29 +236,29 @@ def _ball_exits(x0: np.ndarray, directions: np.ndarray, radius: float) -> np.nda
     return np.maximum(-c + np.sqrt(np.maximum(disc, 0.0)), 0.0)
 
 
-def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray, r: int) -> np.ndarray:
-    """Exit times for unit direction columns, in active coordinates."""
-    t_ball = _ball_exits(x0_act, directions, cell.ball_radius)
-    w = cell.phi @ x0_act
-    g = cell.phi @ directions
+def _slab_exits(gap_hi: np.ndarray, gap_lo: np.ndarray, g: np.ndarray, delta: float, r: int) -> np.ndarray:
+    """(r+1)-th slab crossing time per direction column, over the given rows.
+
+    `gap_hi` and `gap_lo` are hi - w and lo - w per row, and g is phi . d per
+    row and column; with no rows nothing crosses, and every time is inf.
+    """
     # the slab end ahead of each ray; g == 0 rows never cross, and a
     # subnormal g may overflow the quotient to inf
-    end = np.where(g > 0.0, (cell.hi - w)[:, None], (cell.lo - w)[:, None])
+    end = np.where(g > 0.0, gap_hi[:, None], gap_lo[:, None])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         first = np.where(g != 0.0, end / g, np.inf)
     # membership guarantees lo <= w < hi up to rounding; clamp the ulp-level
     # negatives that exact-boundary origins can produce
     first = np.maximum(first, 0.0)
-    if r == 0:
-        t_slab = first.min(axis=0)
-        return np.minimum(t_slab, t_ball)
+    if r == 0 or not g.shape[0]:
+        return first.min(axis=0, initial=np.inf)
     # The r+1 earliest first crossings are r+1 crossings no later than the
     # largest of them, and every other row crosses no earlier than that; so
     # the (r+1)-th crossing overall comes from those r+1 rows alone.
-    if r + 1 < cell.m:
+    if r + 1 < g.shape[0]:
         # row-major partition per direction: faster than along axis 0
         near = np.argpartition(first.T, r, axis=1)[:, : r + 1].T
-        cols = np.arange(directions.shape[1])
+        cols = np.arange(g.shape[1])
         first, g = first[near, cols], g[near, cols]
     # First r+1 crossings per kept row; kth index r selects the (r+1)-th
     # smallest of them per direction.  The spacing is capped at the largest
@@ -215,11 +266,44 @@ def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray
     # 0, not inf*0 = nan, to its first crossing.
     steps = np.arange(r + 1, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):
-        spacing = np.minimum(cell.delta / np.abs(g), np.finfo(np.float64).max)
+        spacing = np.minimum(delta / np.abs(g), np.finfo(np.float64).max)
         candidates = first[:, :, None] + spacing[:, :, None] * steps
-    flat = candidates.transpose(1, 0, 2).reshape(directions.shape[1], -1)
-    t_cross = np.partition(flat, r, axis=1)[:, r]
-    return np.minimum(t_cross, t_ball)
+    flat = candidates.transpose(1, 0, 2).reshape(g.shape[1], -1)
+    return np.partition(flat, r, axis=1)[:, r]
+
+
+def _screen_rows(
+    cell: ConsistencyCell, gap_hi: np.ndarray, gap_lo: np.ndarray, g: np.ndarray, t_ball: np.ndarray, r: int
+) -> np.ndarray | slice:
+    """Rows that can hold some direction's exit: the certified row screen.
+
+    Every row (`slice(None)`) where the screen does not pay; see the module
+    docstring for the bound, the pad and the floors.
+    """
+    per_level = (r + 1) * cell.phi.shape[1]
+    if cell.m <= _SCREEN_ROWS * per_level or g.size < _SCREEN_PAIRS:
+        return slice(None)
+    probe = _PROBE_ROWS * per_level
+    norms = np.sqrt(np.einsum("ij,ij->i", cell.phi, cell.phi))
+    # reach = dist / ||phi_j||, a lower bound on the row's first crossing;
+    # 0, so kept, for rows whose norm is below the floor
+    reach = np.divide(np.minimum(gap_hi, -gap_lo), norms, out=np.zeros_like(gap_hi), where=norms >= _TINY)
+    near = np.argpartition(reach, probe)[:probe]
+    exits = np.minimum(_slab_exits(gap_hi[near], gap_lo[near], g[near], cell.delta, r), t_ball)
+    bound = max(float(exits.max()), _TINY)
+    # a dropped row crosses after every exit; a nan reach (inf/inf) is kept
+    return np.flatnonzero(~(reach * (1.0 - _SCREEN_PAD) > bound))
+
+
+def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray, r: int) -> np.ndarray:
+    """Exit times for unit direction columns, in active coordinates."""
+    t_ball = _ball_exits(x0_act, directions, cell.ball_radius)
+    w = cell.phi @ x0_act
+    # one product for all rows, so a screened row's g has the same bits
+    g = cell.phi @ directions
+    gap_hi, gap_lo = cell.hi - w, cell.lo - w
+    rows = _screen_rows(cell, gap_hi, gap_lo, g, t_ball, r)
+    return np.minimum(_slab_exits(gap_hi[rows], gap_lo[rows], g[rows], cell.delta, r), t_ball)
 
 
 def _check_ray_inputs(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -78,6 +79,22 @@ def quad_capped_conditional(a: float, rho_ratio: float, n: int) -> float:
         epsabs=1e-13, epsrel=1e-10, limit=200,
     )
     return 1.0 - 2.0 * kappa(n) * value
+
+
+def mp_conditional_integral(a: float, rho_ratio: float, n: int) -> float:
+    """Oracle: 1 - 2*kappa_n*a*(T(rho) - T(rho + 1/a)) at 60 significant digits,
+    with T(c) = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), T = 0 for c >= 1, and
+    I_p(c) = int_c^1 (1-v^2)^p dv = betainc(1/2, p+1, c^2, 1)/2."""
+    with mpmath.workdps(60):
+        a, rho = mpmath.mpf(a), mpmath.mpf(rho_ratio)
+        p = mpmath.mpf(n - 3) / 2
+        kap = mpmath.gamma(mpmath.mpf(n) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n - 1) / 2))
+
+        def tail(c):
+            c = min(c, mpmath.mpf(1))
+            return (1 - c * c) ** (p + 1) / (2 * p + 2) - c * mpmath.betainc(0.5, p + 1, c * c, 1) / 2
+
+        return float(1 - 2 * kap * a * (tail(rho) - tail(rho + 1 / a)))
 
 
 def conditional_limit(rho_ratio: float, n: int) -> float:
@@ -294,12 +311,29 @@ def test_conditional_integral_limit_anchor():
     assert conditional_integral(1e300, 0.2, 4) == pytest.approx(0.2529399219, abs=1e-10)
 
 
+def switch_point(rho: float, n: int) -> float:
+    return (n + 1) / (_EXPANSION_SWITCH * (1.0 - rho * rho))
+
+
+@pytest.mark.parametrize(
+    "a, rho, n",
+    [
+        (1e7, 0.99999, 2),
+        (1e7, 0.99999, 4),
+        (3e6, 0.9999, 8),
+        (float(np.nextafter(switch_point(0.999, 6), 0.0)), 0.999, 6),
+    ],
+)
+def test_conditional_integral_holds_as_rho_nears_one(a, rho, n):
+    # points below the series switch where subtracting two T values loses
+    # 2.6e-8, 2.6e-8, 6.4e-9 and 1.3e-10
+    assert abs(conditional_integral(a, rho, n) - mp_conditional_integral(a, rho, n)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(2, 10))
-@pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9, 0.999])
 def test_conditional_integral_is_continuous_across_the_series_switch(n, rho):
-    # At rho -> 1 the closed form's own error near the switch grows to about
-    # 1e-10 (rho = 0.999); the long-segment test covers that at 1e-9.
-    switch = (n + 1) / (_EXPANSION_SWITCH * (1.0 - rho * rho))
+    switch = switch_point(rho, n)
     below = conditional_integral(float(np.nextafter(switch, 0.0)), rho, n)
     above = conditional_integral(float(np.nextafter(switch, np.inf)), rho, n)
     assert abs(below - above) <= 1e-10

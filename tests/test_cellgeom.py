@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qconsist.cellgeom import (
     _BALL_TOL,
     NotInCellError,
+    _ball_exits,
     _ray_exits,
     _random_directions,
+    _screen_rows,
     build_cell,
     cell_contains,
     empirical_worst_case,
@@ -421,25 +423,30 @@ def tensor_ray_exits(cell, x0_act, directions, r):
 def ray_instances(draw):
     """(cell, origin, directions) on a dyadic lattice or from gen_ensemble.
 
-    Lattice instances (up to 8 rows, then up to 8 exact repeats) draw phi
-    entries from a few small values, zeros included, so signed-axis
-    directions meet rows with g = 0; dyadic origins and dithers put origins
-    exactly on slab boundaries; and repeated rows tie their first crossings.  Random instances (M <= 96) exercise the
-    partition over many rows.  Either may restrict the cell to a support.
+    Lattice instances draw up to 8 rows from a few small values, zeros
+    included, so signed-axis directions meet rows with g = 0 and some rows
+    are zero; the rows are then repeated up to 256 times, so that repeated
+    rows tie their first crossings and cells reach past the row screen's
+    cutoff.  Dyadic origins and dithers put origins exactly on slab
+    boundaries.  Random instances (M <= 96, or 256 to 1024) exercise the
+    partition and the screen over many rows; 128 random directions carry
+    large cells past the screen's cutoff on (row, direction) pairs.  Either
+    may restrict the cell to a support, and the directions may have norm
+    1 +- 1e-9, at the edge of what ray_exit_strict accepts.
     """
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        m = draw(st.integers(1, 8))
         values = st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.25])
-        rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=m))
-        rows = rows + rows[: draw(st.integers(0, len(rows)))]
+        rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=8))
         delta = draw(st.sampled_from([0.25, 0.5, 1.0]))
         xi = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=len(rows), max_size=len(rows)))
-        ens = manual_ensemble(rows, np.asarray(xi) * delta, delta)
+        repeats = draw(st.sampled_from([1, 2, 64, 256]))
+        ens = manual_ensemble(np.tile(rows, (repeats, 1)), np.tile(xi, repeats) * delta, delta)
         x0 = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, -0.25, 0.5]), min_size=n, max_size=n)))
     else:
         delta = draw(st.sampled_from([0.05, 0.3, 1.0]))
-        ens = gen_ensemble(draw(st.integers(1, 96)), n, QuantizerSpec(delta), draw(st.integers(0, 2**63)))
+        m = draw(st.integers(1, 96) | st.integers(256, 1024))
+        ens = gen_ensemble(m, n, QuantizerSpec(delta), draw(st.integers(0, 2**63)))
         x0 = sample_signal(SignalModel.unit_ball(n), Stream(draw(st.integers(0, 2**63)))).x
     support = None
     if n > 1 and draw(st.booleans()):
@@ -450,11 +457,39 @@ def ray_instances(draw):
     codes = _encode_values(ens.phi @ x0 + ens.xi, ens.spec.delta)
     cell = build_cell(ens, codes, 1.0, support)
     dim = cell.phi.shape[1]
-    rand = _random_directions(Stream(draw(st.integers(0, 2**63))), dim, draw(st.integers(1, 16)))
-    return cell, cell.restrict(x0), np.hstack([rand, np.eye(dim), -np.eye(dim)])
+    count = draw(st.integers(1, 16) | st.just(128))
+    rand = _random_directions(Stream(draw(st.integers(0, 2**63))), dim, count)
+    scale = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
+    return cell, cell.restrict(x0), np.hstack([rand, np.eye(dim), -np.eye(dim)]) * scale
 
 
+@settings(max_examples=200)
 @given(ray_instances(), st.integers(0, 5))
 def test_ray_exits_equal_the_full_candidate_tensor(instance, r):
     cell, x0_act, directions = instance
     assert np.array_equal(_ray_exits(cell, x0_act, directions, r), tensor_ray_exits(cell, x0_act, directions, r))
+
+
+def test_row_screen_keeps_few_rows_of_a_large_cell():
+    ens = gen_ensemble(1024, 8, UNIT, 31)
+    sig = sample_signal(SignalModel.unit_ball(8), Stream(32))
+    cell = build_cell(ens, sense(ens, sig).codes)
+    directions = np.hstack([_random_directions(Stream(33), 8, 512), np.eye(8), -np.eye(8)])
+    w = cell.phi @ sig.x
+    g = cell.phi @ directions
+    rows = _screen_rows(cell, cell.hi - w, cell.lo - w, g, _ball_exits(sig.x, directions, 1.0), 0)
+    assert 0 < rows.size < 0.1 * cell.m
+    assert np.array_equal(_ray_exits(cell, sig.x, directions, 0), tensor_ray_exits(cell, sig.x, directions, 0))
+
+
+@pytest.mark.parametrize("r", [0, 2])
+def test_row_screen_pads_past_the_direction_norm(r):
+    # 512 copies of one row, with the origin at its slab's centre, shot along
+    # +-d with |d| = 1 + 1e-9, at the edge of the norms ray_exit_strict
+    # accepts: every first crossing is the reach over |d|, just under the
+    # reach, so without a pad the screen drops every row
+    ens = manual_ensemble(np.ones((512, 1)), np.zeros(512), 0.5)
+    x = np.array([0.25])
+    cell = build_cell(ens, _encode_values(ens.phi @ x + ens.xi, 0.5))
+    directions = np.hstack([np.full((1, 64), 1.0 + 1e-9), np.full((1, 64), -1.0 - 1e-9)])
+    assert np.array_equal(_ray_exits(cell, x, directions, r), tensor_ray_exits(cell, x, directions, r))
