@@ -223,27 +223,16 @@ def _tail_gap(rho: float, h: np.ndarray, n: int) -> np.ndarray:
     return power_gap((n - 1) / 2.0) / (n - 1) - c0 * gap + dc * _tail_integral(c1, n)
 
 
-# Where (n+1)*h < _EXPANSION_SWITCH*s, s = 1 - rho^2, the Taylor series of
-# a*(T(rho) - T(rho + h)) to third order in h/s, from T' = -I_p and
-# T'' = s^p, replaces _tail_gap (error below 1e-11 for n <= 9), so that h
-# may underflow and a overflow to inf.  The factor s keeps the series away
-# from rho -> 1.
-_EXPANSION_SWITCH = 0.01
-
-
 def _fixed_norm_p1(a: np.ndarray, rho_ratio: float, n: int) -> np.ndarray:
     # int_0^1 (1-v^2)^p [(v-rho)_+ - (v-rho-h)_+] dv = T(rho) - T(rho + h), h = 1/a;
     # both terms vanish for rho >= 1, where the balls swallow the segment.
+    # An a that overflows to inf (h = 0) takes the limit a*(T(rho) - T(rho + h)) -> I_p(rho).
     if not rho_ratio >= 0.0:
         raise ValueError(f"rho_ratio must be >= 0, got {rho_ratio}")
-    two_kappa, p, h = 2.0 * kappa(n), (n - 3) / 2.0, 1.0 / a
-    s = np.float64(1.0 - rho_ratio * rho_ratio)  # so that rho >= 1 yields nan, not an exception
-    with np.errstate(all="ignore"):  # warnings come only from the branch np.where drops
-        closed = 1.0 - two_kappa * a * _tail_gap(rho_ratio, h, n)
-        x = h / s
-        terms = 0.5 - x * p * rho_ratio / 3.0 - x * x * p * (s - 2.0 * (p - 1.0) * rho_ratio**2) / 12.0
-        series = 1.0 - two_kappa * (_tail_integral(min(rho_ratio, 1.0), n) - h * s**p * terms)
-    return np.where((n + 1) * h < _EXPANSION_SWITCH * s, series, closed)
+    two_kappa, h = 2.0 * kappa(n), 1.0 / a
+    with np.errstate(all="ignore"):  # log1p(-1) = -inf where rho + h >= 1, and inf*0 where h = 0
+        closed = 1.0 - two_kappa * (a * _tail_gap(rho_ratio, h, n))  # 2*kappa*a may overflow
+    return np.where(h > 0.0, closed, 1.0 - two_kappa * _tail_integral(min(rho_ratio, 1.0), n))
 
 
 def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
@@ -251,7 +240,7 @@ def conditional_integral(a: float, rho_ratio: float, n: int) -> float:
 
     `a` is the projected segment length in grid units, `rho_ratio` the
     ball-diameter-to-segment ratio 2r/L; the result is 1.0 for
-    rho_ratio >= 1.  At large `a` its series in 1/a takes over.
+    rho_ratio >= 1.
     """
     if not (np.isfinite(a) and a > 0.0):
         raise ValueError(f"segment length ratio must be positive and finite, got {a}")

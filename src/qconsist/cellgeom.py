@@ -274,16 +274,12 @@ def _slab_exits(gap_hi: np.ndarray, gap_lo: np.ndarray, g: np.ndarray, delta: fl
 
 def _screen_rows(
     cell: ConsistencyCell, gap_hi: np.ndarray, gap_lo: np.ndarray, g: np.ndarray, t_ball: np.ndarray, r: int
-) -> np.ndarray | slice:
+) -> np.ndarray:
     """Rows that can hold some direction's exit: the certified row screen.
 
-    Every row (`slice(None)`) where the screen does not pay; see the module
-    docstring for the bound, the pad and the floors.
+    See the module docstring for the bound, the pad and the floors.
     """
-    per_level = (r + 1) * cell.phi.shape[1]
-    if cell.m <= _SCREEN_ROWS * per_level or g.size < _SCREEN_PAIRS:
-        return slice(None)
-    probe = _PROBE_ROWS * per_level
+    probe = _PROBE_ROWS * (r + 1) * cell.phi.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->i", cell.phi, cell.phi))
     # reach = dist / ||phi_j||, a lower bound on the row's first crossing;
     # 0, so kept, for rows whose norm is below the floor
@@ -302,8 +298,10 @@ def _ray_exits(cell: ConsistencyCell, x0_act: np.ndarray, directions: np.ndarray
     # one product for all rows, so a screened row's g has the same bits
     g = cell.phi @ directions
     gap_hi, gap_lo = cell.hi - w, cell.lo - w
-    rows = _screen_rows(cell, gap_hi, gap_lo, g, t_ball, r)
-    return np.minimum(_slab_exits(gap_hi[rows], gap_lo[rows], g[rows], cell.delta, r), t_ball)
+    if cell.m > _SCREEN_ROWS * (r + 1) * cell.phi.shape[1] and g.size >= _SCREEN_PAIRS:
+        rows = _screen_rows(cell, gap_hi, gap_lo, g, t_ball, r)
+        gap_hi, gap_lo, g = gap_hi[rows], gap_lo[rows], g[rows]
+    return np.minimum(_slab_exits(gap_hi, gap_lo, g, cell.delta, r), t_ball)
 
 
 def _check_ray_inputs(cell: ConsistencyCell, x0: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

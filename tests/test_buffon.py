@@ -18,7 +18,6 @@ from scipy.integrate import quad
 import qconsist
 
 from qconsist.buffon import (
-    _EXPANSION_SWITCH,
     RADIUS_WEIGHT,
     DumbbellConfig,
     ProbEstimate,
@@ -82,10 +81,11 @@ def quad_capped_conditional(a: float, rho_ratio: float, n: int) -> float:
 
 
 def mp_conditional_integral(a: float, rho_ratio: float, n: int) -> float:
-    """Oracle: 1 - 2*kappa_n*a*(T(rho) - T(rho + 1/a)) at 60 significant digits,
-    with T(c) = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), T = 0 for c >= 1, and
+    """Oracle: 1 - 2*kappa_n*a*(T(rho) - T(rho + 1/a)) at 60 significant digits
+    beyond the log10(a) that the difference cancels, with
+    T(c) = (1-c^2)^(p+1)/(2p+2) - c*I_p(c), T = 0 for c >= 1, and
     I_p(c) = int_c^1 (1-v^2)^p dv = betainc(1/2, p+1, c^2, 1)/2."""
-    with mpmath.workdps(60):
+    with mpmath.workdps(60 + max(0, math.ceil(math.log10(a)))):
         a, rho = mpmath.mpf(a), mpmath.mpf(rho_ratio)
         p = mpmath.mpf(n - 3) / 2
         kap = mpmath.gamma(mpmath.mpf(n) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n - 1) / 2))
@@ -298,7 +298,7 @@ def test_conditional_integral_matches_quadrature(n, a, rho):
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9, 0.999])
 def test_conditional_integral_holds_at_long_segments(n, rho):
-    # the closed form cancels to an error of about a*1e-16; the series takes over
+    # a difference of two T values would err by about a*1e-16
     for a in 10.0 ** np.array([2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 50, 100, 200, 300]):
         value = conditional_integral(a, rho, n)
         assert abs(value - quad_capped_conditional(a, rho, n)) <= 1e-9
@@ -311,32 +311,28 @@ def test_conditional_integral_limit_anchor():
     assert conditional_integral(1e300, 0.2, 4) == pytest.approx(0.2529399219, abs=1e-10)
 
 
-def switch_point(rho: float, n: int) -> float:
-    return (n + 1) / (_EXPANSION_SWITCH * (1.0 - rho * rho))
-
-
 @pytest.mark.parametrize(
     "a, rho, n",
     [
         (1e7, 0.99999, 2),
         (1e7, 0.99999, 4),
         (3e6, 0.9999, 8),
-        (float(np.nextafter(switch_point(0.999, 6), 0.0)), 0.999, 6),
+        (3.5e5, 0.999, 6),
     ],
 )
 def test_conditional_integral_holds_as_rho_nears_one(a, rho, n):
-    # points below the series switch where subtracting two T values loses
-    # 2.6e-8, 2.6e-8, 6.4e-9 and 1.3e-10
+    # a difference of two T values lost 2.6e-8, 2.6e-8, 6.4e-9 and 1.3e-10 here
     assert abs(conditional_integral(a, rho, n) - mp_conditional_integral(a, rho, n)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("rho", [0.0, 0.2, 0.5, 0.9, 0.999])
-def test_conditional_integral_is_continuous_across_the_series_switch(n, rho):
-    switch = switch_point(rho, n)
-    below = conditional_integral(float(np.nextafter(switch, 0.0)), rho, n)
-    above = conditional_integral(float(np.nextafter(switch, np.inf)), rho, n)
-    assert abs(below - above) <= 1e-10
+def test_conditional_integral_matches_high_precision_at_any_length(n, rho):
+    # up to the largest double, where 1/a lies far below the last bit of rho
+    # and 2*kappa*a overflows; at a = 1.6e3, n = 2, rho = 0.9 a third-order
+    # series in 1/a errs by 3.4e-12
+    for a in [1e2, 1.6e3, 1e4, 1e6, 1e8, 1e12, 1e20, 1e100, 1e300, 1.7e308]:
+        assert abs(conditional_integral(a, rho, n) - mp_conditional_integral(a, rho, n)) <= 1e-12
 
 
 def test_bound_chain_holds_at_huge_alpha(capsys):
