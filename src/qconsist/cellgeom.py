@@ -129,8 +129,8 @@ class ConsistencyCell:
     supported on those indices, and `phi` holds the sensing matrix's columns
     on it (all of `ensemble.phi` itself for a free cell), so `phi.shape[1]`
     is the active dimension.  It is C-contiguous like `ensemble.phi`, and
-    membership, ray exits and POCS all multiply it with active coordinates.
-    `dim` is the ambient dimension.
+    membership, ray exits and the solvers multiply it with active
+    coordinates.  `dim` is the ambient dimension.
     """
 
     ensemble: SensingEnsemble

@@ -96,8 +96,8 @@ _OPTIONS = {
     "directions": (int, "random directions per width estimate"),
     "delta": (float, "quantizer resolution, measurement units"),
     "lam": (float, "offset in resolution units; |lam|*delta must stay below 1"),
-    "tol": (float, "slab interior margin; None means 1e-9*delta"),
-    "max_iter": (int, "projection-cycle cap; None means 100000, or 200 per support with --k"),
+    "tol": (float, "slack the estimate must keep inside every slab; None means 1e-9*delta"),
+    "max_iter": (int, "Newton-step cap; None means 100000, or 200 per support with --k"),
     "dump_ensemble": (str, "write the ensemble in binary form to this path"),
     "alpha": (float, "center distance in resolution units, > 0"),
     "throws": (int, "Monte Carlo throws"),
@@ -183,7 +183,7 @@ def _cmd_sense(opts: dict) -> int:
 
 def _cmd_reconstruct(opts: dict) -> int:
     ensemble, signal, obs = _instance(opts)
-    # each solver keeps its own cycle cap unless --max-iter is given
+    # each solver keeps its own step cap unless --max-iter is given
     cap = {} if opts["max_iter"] is None else {"max_iter": opts["max_iter"]}
     if opts["k"] is None:
         result = pocs_consistent(ensemble, obs.codes, tol=opts["tol"], **cap)

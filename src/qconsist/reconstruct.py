@@ -1,48 +1,38 @@
 """Consistent reconstruction solvers and the linear least-squares baseline.
 
-The consistent solvers run cyclic projections onto the slab constraints of
-a consistency cell (with a small interior margin, so solutions verify
-strictly inside the half-open cells) followed by projection onto the
-unit ball.  A result is flagged consistent only when the cell's
-integer-verified membership test (cellgeom.verified_member) accepts it;
-residual tolerances alone never decide consistency.
+All three consistent solvers run one log-barrier method: on the active
+coordinates u of a cell, Newton steps on f_t = -t s - sum log p - sum log q
+- log(R^2 - ||u||^2), p = A u - lo - s, q = hi - A u - s, maximize the
+slack s from u = x0 (default 0; scaled to norm R/2 if outside the ball)
+and s = l - |l| - delta, l the least slack of u.  Each step halves until
+every slack stays positive and f_t falls by a quarter of the Newton
+decrement.  t starts at 1e4 and grows 20-fold once u is centred, no
+halving lowers f_t, or 50 steps pass.  The solver is untrusted: a point
+counts only once verified_member accepts an iterate with s >= tol, and an
+empty cell only once the certificate below proves it.  It gives up after
+`max_iter` steps, once the duality gap (2M + 1)/t is at most tol, or once
+a centred u has s + (2M + 1)/t < tol.
 
-A cycle steps through the rows in order, and only a row whose product
-phi_j @ u falls outside its target slab moves u.  When few rows moved u in
-the previous cycle, one matrix product y = phi[j:] @ u screens the rest of
-the cycle, and only the rows it cannot clear get the exact per-row step
-(from the next row on after every step that moves u).  Any two
-floating-point evaluations of the same dot product, in any summation
-order, with or without FMA, differ by at most
-2*gamma_d*sum_k |phi_jk*u_k| <= 2*gamma_d*max_k |phi_jk|*||u||_1, with
-gamma_d = d*2**-53/(1 - d*2**-53) on the active dimension d, plus d*2**-1074
-for underflowing products (Higham, Accuracy and Stability of Numerical
-Algorithms, sec. 3.1).  A row is skipped only when y lies at least twice
-that bound inside its target slab, which also covers the rounding of the
-bound and of the slab ends.  The exact step would then find phi_j @ u inside
-the slab and leave u alone, so the screen changes no bit of u, of the cycle
-count or of the result; NaN never passes it.
-
-Support enumeration offers each support S to an infeasibility certificate
-before POCS.  With cell centres c = lo + delta/2, A = phi[:, S] and any
-y in R^M, every u on S with |a_j.u - c_j| <= h_j for all rows and
-||u|| <= rho satisfies
+The certificate proves the cell on the columns A = phi[:, S] of a support
+S empty.  With cell centres c = lo + delta/2 and any y in R^M, every u on
+S with |a_j.u - c_j| <= h_j for all rows and ||u|| <= rho satisfies
 
     y.c - sum_j |y_j| h_j  <=  y.(A u)  =  (A^T y).u  <=  rho ||A^T y||,
 
 so S holds no such u when y.c - |y|.h - rho ||A^T y|| > 0.  This holds for
-every y; y is the least-squares residual c - A u_ls, with u_ls from the
-k x k normal equations A^T A u = A^T c, O(M k^2) per support.  An inexact
-solve weakens the certificate and never makes it unsound; a singular one
-certifies nothing.
+every y, so y needs no trust.  Enumeration first offers each support the
+least-squares residual y = c - A u_ls (k x k normal equations, O(M k^2);
+a singular solve offers nothing), and the barrier offers its central-path
+duals y = 1/p - 1/q, and -y, after every round.
 
-With eps = 2**-53 and gamma_n as above, h and rho cover every point that
-verified_member accepts, however it rounds:
+With eps = 2**-53 and Higham's gamma_n = n eps/(1 - n eps) (Accuracy and
+Stability of Numerical Algorithms, sec. 3.1), h and rho cover every point
+that verified_member accepts, however it rounds:
   - rho = (R + _BALL_TOL)(1 + gamma_(2k+2)): the computed norm
     sqrt(fl(u.u)) is at least ||u|| (1 - gamma_k)^(1/2) (1 - eps).
   - A computed product p_j = fl(a_j.u) lies within
-    gamma_k ||a_j|| rho + k*2**-1074 of a_j.u (sec. 3.1 above), in any
-    summation order.  These k-term products are exactly what
+    gamma_k ||a_j|| rho + k*2**-1074 of a_j.u, in any summation order, with
+    or without FMA.  These k-term products are exactly what
     verified_member computes on the support cell, whose `phi` is A.
   - floor(fl(fl(p_j + xi_j)/delta)) = code_j puts p_j within
     delta/2 + 2 eps s_j of delta*code_j - xi_j + delta/2, and c_j, four
@@ -57,13 +47,14 @@ the rounding of tau_j, of the full-row norm ||phi_j|| >= ||a_j|| and of
 rho.  The three terms of the certificate are sums of at most M + 2k + 4
 rounded operations on magnitudes within |y|.(|c| + h + rho ||phi_j||) +
 rho ||A^T y|| (the last bounds the rounding of A^T y through
-||a_j|| <= ||phi_j||), so a support counts as certified only when the
+||a_j|| <= ||phi_j||; the norm is taken after scaling A^T y by a power of
+two, exactly, so that no square underflows to drop the ball term), so a
+support counts as certified only when the
 computed value exceeds pad = 2 gamma_(M+2k+4) times that magnitude, plus
 (M + k)*2**-1068 for underflowing products.  Overflow and NaN make the pad
 infinite or the comparison false, so they never certify.  The certificate
-does not depend on the POCS margin `tol`: it rules out only supports on
-which no point could verify, so enumeration returns exactly what it
-returns without it.
+does not depend on `tol`: it rules out only supports on which no point
+could verify, so enumeration returns exactly what it returns without it.
 
 The linear baseline is the plain least-squares synthesis from the decoded
 observation.  It deliberately enforces no consistency and serves as the
@@ -98,13 +89,12 @@ class EnumerationCapError(RuntimeError):
 
 
 class NoConsistentSolutionError(RuntimeError):
-    """No enumerated support verified within the per-support cycle cap.
+    """No enumerated support verified.
 
     `supports` is the number of supports tried, `certified` how many of
-    them were certified infeasible before POCS ran, and `max_iter` the POCS
-    cycle cap each of the others had.  Only when certified == supports is
-    this a proof that no consistent k-sparse vector exists in the ball: a
-    support that ran out of cycles may still hold a consistent solution.
+    them were proved infeasible, and `max_iter` the Newton-step cap each of
+    the others had.  Only when certified == supports is this a proof that
+    no consistent k-sparse vector exists in the ball.
     """
 
     def __init__(self, message: str, supports: int, max_iter: int, certified: int):
@@ -112,13 +102,6 @@ class NoConsistentSolutionError(RuntimeError):
         self.supports = supports
         self.max_iter = max_iter
         self.certified = certified
-
-
-# A cycle after one that moved u on at least this share of the rows visits
-# every row: on such dense cycles (infeasible enumeration supports move u on
-# 30-87% of them) the screen costs more than it skips.  1/4 and 1/16 timed
-# the same.
-_DENSE_SHARE = 1.0 / 8.0
 
 
 # Unit roundoff, and Higham's gamma_n of the module docstring.
@@ -129,22 +112,33 @@ def _gamma(n: int) -> float:
     return n * _EPS / (1.0 - n * _EPS)
 
 
+# The barrier's rounds (module docstring).  _ROUND_STEPS ends rounds where
+# slacks round to noise, as near the code guard, and u never centres.
+_T0 = 1e4
+_GROWTH = 20.0
+_CENTRED = 1e-8
+_HALVINGS = 64
+_ROUND_STEPS = 50
+
+
 class SingularMatrixError(np.linalg.LinAlgError):
     """The sensing matrix is rank deficient for least squares."""
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Solver output; `consistent` is integer-code verified."""
+    """Solver output; `consistent` is integer-code verified, and
+    `proved_empty` means a certificate showed that no point of the cell verifies."""
 
     x_star: np.ndarray
     iterations: int
     consistent: bool
     residual: float
+    proved_empty: bool
 
 
 def _check_budget(delta: float, tol: float | None, max_iter: int) -> float:
-    """The POCS interior margin, once it and the cycle cap are validated."""
+    """The slack a returned point must have, once it and the cap are valid."""
     margin = 1e-9 * delta if tol is None else float(tol)
     if not 0.0 < margin < delta / 2.0:
         raise ValueError(f"tolerance must lie in (0, delta/2), got {margin}")
@@ -153,17 +147,15 @@ def _check_budget(delta: float, tol: float | None, max_iter: int) -> float:
     return margin
 
 
-def _pocs(
+def _barrier(
     cell: ConsistencyCell,
     tol: float | None,
     max_iter: int,
     x0: np.ndarray | None,
 ) -> ReconstructionResult:
     margin = _check_budget(cell.delta, tol, max_iter)
-    ball_radius = cell.ball_radius
-    phi = cell.phi
-    row_norm2 = np.einsum("ij,ij->i", phi, phi)
-    m, d = phi.shape
+    a, radius = cell.phi, cell.ball_radius
+    m, d = a.shape
 
     if x0 is None:
         u = np.zeros(d)
@@ -173,69 +165,64 @@ def _pocs(
             raise ValueError(f"start point has shape {x0.shape}, expected ({cell.dim},)")
         u = cell.restrict(x0).copy()
 
-    def verified(v: np.ndarray) -> bool:
-        return verified_member(cell, v, ball_tol=_BALL_TOL)
+    def finish(v: np.ndarray, steps: int, consistent: bool, proved_empty: bool = False) -> ReconstructionResult:
+        av = a @ v
+        slab = max(0.0, float(np.max(cell.lo - av, initial=0.0)), float(np.max(av - cell.hi, initial=0.0)))
+        residual = max(slab, float(np.linalg.norm(v)) - radius, 0.0)
+        return ReconstructionResult(cell.embed(v), steps, consistent, residual, proved_empty)
 
-    def max_violation(v: np.ndarray) -> float:
-        y = phi @ v
-        slab = max(0.0, float(np.max(cell.lo - y, initial=0.0)), float(np.max(y - cell.hi, initial=0.0)))
-        return max(slab, float(np.linalg.norm(v)) - ball_radius, 0.0)
+    if verified_member(cell, u, ball_tol=_BALL_TOL):
+        return finish(u, 0, True)
+    certified = _farkas(cell, d)
+    # slacks (p, q) = g @ (u, s) - h; the start of the module docstring
+    g = np.block([[a, -np.ones((m, 1))], [-a, -np.ones((m, 1))]])
+    h = np.concatenate([cell.lo, -cell.hi])
+    norm = float(np.linalg.norm(u))
+    if not norm < radius:
+        u *= 0.5 * radius / norm
+    least = float(np.min(g[:, :d] @ u - h))
+    z = np.append(u, least - abs(least) - cell.delta)
 
-    if verified(u):
-        return ReconstructionResult(x_star=cell.embed(u), iterations=0, consistent=True, residual=max_violation(u))
+    def f(z: np.ndarray, t: float) -> float:
+        slack, room = g @ z - h, radius * radius - z[:d] @ z[:d]
+        if not (slack.min() > 0.0 and room > 0.0):
+            return np.inf
+        return -t * z[d] - float(np.log(slack).sum()) - np.log(room)
 
-    target_lo = cell.lo + margin
-    target_hi = cell.hi - margin
-    # The row screen's pad, twice the bound on how far two dot products of
-    # a row and u may differ (module docstring).
-    pad_per_mass = 4.0 * _gamma(d) * np.max(np.abs(phi), axis=1, initial=0.0)
-    pad_underflow = d * 2.0**-1072
-
-    def may_move(start: int) -> list[int]:
-        """Rows from `start` on whose exact step can change u."""
-        y = phi[start:] @ u
-        pad = float(np.abs(u).sum()) * pad_per_mass[start:] + pad_underflow
-        inside = (y >= target_lo[start:] + pad) & (y <= target_hi[start:] - pad)
-        return (np.flatnonzero(~inside) + start).tolist()
-
-    # The same doubles as Python values: each exact step runs the same ddot
-    # on the same C-order row, and the same float arithmetic, as phi[j] @ u.
-    rows = list(phi)
-    lo_t, hi_t, norm2 = target_lo.tolist(), target_hi.tolist(), row_norm2.tolist()
-    iterations = 0
-    consistent = False
-    moved = m  # the first cycle visits every row
-    for iterations in range(1, max_iter + 1):
-        screened = moved < m * _DENSE_SHARE
-        moved = 0
-        todo = may_move(0) if screened else range(m)
-        i = 0
-        while i < len(todo):
-            j = todo[i]
-            i += 1
-            y = float(rows[j] @ u)
-            if lo_t[j] <= y <= hi_t[j]:
-                continue
-            c = min(max(y, lo_t[j]), hi_t[j])
-            # a row with norm2 == 0 is invisible on this support; nothing can fix it
-            if y != c and norm2[j] != 0.0:
-                u -= ((y - c) / norm2[j]) * rows[j]
-                moved += 1
-                if screened:
-                    todo, i = may_move(j + 1), 0
-        changed = moved > 0
-        nrm = float(np.linalg.norm(u))
-        if nrm > ball_radius:
-            u *= ball_radius / nrm
-            changed = True
-        if verified(u):
-            consistent = True
-            break
-        if not changed:
-            break  # stuck: every reachable constraint holds yet codes disagree
-    return ReconstructionResult(
-        x_star=cell.embed(u), iterations=iterations, consistent=consistent, residual=max_violation(u)
-    )
+    t, steps, taken = _T0, 0, 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = f(z, t)
+        while steps < max_iter:
+            u, inv = z[:d], 1.0 / (g @ z - h)
+            room = radius * radius - u @ u
+            grad = -(g.T @ inv)
+            grad[:d] += (2.0 / room) * u
+            grad[d] -= t
+            hess = (g.T * (inv * inv)) @ g
+            hess[:d, :d] += (2.0 / room) * np.eye(d) + (4.0 / room**2) * np.outer(u, u)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = np.full(d + 1, np.nan)
+            decrement = float(-grad @ step)
+            for alpha in 0.5 ** np.arange(_HALVINGS if decrement > _CENTRED and taken < _ROUND_STEPS else 0):
+                trial = f(z + alpha * step, t)
+                if trial <= value - 0.25 * alpha * decrement:
+                    z, value, steps, taken = z + alpha * step, trial, steps + 1, taken + 1
+                    if z[d] >= margin and verified_member(cell, z[:d], ball_tol=_BALL_TOL):
+                        return finish(z[:d], steps, True)
+                    break
+            else:
+                # the end of a round: offer the duals, then stop or move on
+                y = inv[:m] - inv[m:]
+                if certified(a, y) or certified(a, -y):
+                    return finish(z[:d], steps, False, True)
+                gap = (2 * m + 1) / t
+                if gap <= margin or (decrement <= _CENTRED and z[d] + gap < margin):
+                    break
+                t, taken = t * _GROWTH, 0
+                value = f(z, t)
+    return finish(z[:d], steps, False)
 
 
 def pocs_consistent(
@@ -247,12 +234,13 @@ def pocs_consistent(
 ) -> ReconstructionResult:
     """Find a vector reproducing the target codes inside the unit ball.
 
-    Cyclic slab projections with interior margin `tol` (default
-    1e-9*delta), then ball projection, until the integer codes verify or
-    `max_iter` cycles pass.  `iterations` counts full cycles; a start point
-    that already verifies returns unchanged with iterations=0.
+    The log-barrier of the module docstring, from `x0` (default 0), until
+    an iterate with slack at least `tol` (default 1e-9*delta) verifies, the
+    cell is proved empty, or `max_iter` Newton steps pass.  `iterations`
+    counts Newton steps; a start point that already verifies returns
+    unchanged with iterations=0.
     """
-    return _pocs(build_cell(ensemble, codes), tol, max_iter, x0)
+    return _barrier(build_cell(ensemble, codes), tol, max_iter, x0)
 
 
 def pocs_on_support(
@@ -263,18 +251,21 @@ def pocs_on_support(
     max_iter: int = 100_000,
     x0: np.ndarray | None = None,
 ) -> ReconstructionResult:
-    """Same iteration restricted to coordinates in `support`; output is
+    """Same solver restricted to coordinates in `support`; output is
     supported there."""
-    return _pocs(build_cell(ensemble, codes, support=support), tol, max_iter, x0)
+    return _barrier(build_cell(ensemble, codes, support=support), tol, max_iter, x0)
 
 
-def _infeasibility_screen(cell: ConsistencyCell, k: int):
-    """certified(support): True only if no k-vector on `support` verifies.
+def _norm(v: np.ndarray) -> float:
+    """||v|| from v scaled, exactly, by a power of two, so that the square of
+    its largest entry neither underflows nor overflows."""
+    e = np.frexp(np.max(np.abs(v), initial=0.0))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
 
-    The Farkas certificate of the module docstring, from the least-squares
-    residual y of the cell centres c on the support columns.  A singular or
-    non-finite solve certifies nothing.
-    """
+
+def _farkas(cell: ConsistencyCell, k: int):
+    """certified(a, y): True only if no vector on the k columns `a` verifies,
+    by the Farkas certificate of the module docstring with any y in R^M."""
     phi, xi, delta = cell.ensemble.phi, cell.ensemble.xi, cell.delta
     c = cell.lo + delta / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,21 +280,25 @@ def _infeasibility_screen(cell: ConsistencyCell, k: int):
     pad_rel = 2.0 * _gamma(cell.m + 2 * k + 4)
     pad_underflow = (cell.m + k) * 2.0**-1068
 
-    def certified(support: tuple[int, ...]) -> bool:
-        a = phi[:, np.asarray(support, dtype=np.intp)]
-        try:
-            u_ls = np.linalg.solve(a.T @ a, a.T @ c)
-        except np.linalg.LinAlgError:
-            return False
+    def certified(a: np.ndarray, y: np.ndarray) -> bool:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = c - a @ u_ls
             ay = np.abs(y)
-            w = float(np.linalg.norm(a.T @ y))
+            w = _norm(a.T @ y)
             value = float(y @ c) - float(ay @ half) - rho * w
             pad = pad_rel * (float(ay @ magnitude) + rho * w) + pad_underflow
         return value > pad  # NaN and overflow never pass
 
     return certified
+
+
+def _least_squares_residual(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c - a u_ls from the normal equations of the columns `a`; NaN if singular."""
+    try:
+        u_ls = np.linalg.solve(a.T @ a, a.T @ c)
+    except np.linalg.LinAlgError:
+        u_ls = np.full(a.shape[1], np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c - a @ u_ls
 
 
 def qcs_enumerate(
@@ -316,15 +311,12 @@ def qcs_enumerate(
 ) -> ReconstructionResult:
     """First consistent k-sparse solution over lexicographic k-supports.
 
-    Each support is first offered to an infeasibility certificate (module
-    docstring); only the supports it cannot rule out get POCS, with
-    `max_iter` cycles each.  The certificate removes only supports that
-    hold no verifiable point, so the result is the one plain enumeration
-    gives.  Raises EnumerationCapError when C(n, k) exceeds
+    Each support is first offered to the certificate with its least-squares
+    residual (module docstring), which rules out only supports that hold no
+    verifiable point; the others get the barrier, with `max_iter` Newton
+    steps each.  Raises EnumerationCapError when C(n, k) exceeds
     `enumeration_cap`, and NoConsistentSolutionError when no support
-    verifies.  That error proves that no consistent k-sparse vector exists
-    only when every support was certified; otherwise a feasible support that
-    needs more than `max_iter` cycles fails the same way.
+    verifies, a proof only when every support was certified.
     """
     n = ensemble.n
     SignalModel(n, k)
@@ -335,15 +327,19 @@ def qcs_enumerate(
         )
     cell = build_cell(ensemble, codes)
     _check_budget(cell.delta, tol, max_iter)
-    certified = _infeasibility_screen(cell, k)
+    certified = _farkas(cell, k)
+    c = cell.lo + cell.delta / 2.0
     ruled_out = 0
     for subset in combinations(range(n), k):
-        if certified(subset):
+        support = np.asarray(subset, dtype=np.intp)
+        a = cell.phi[:, support]
+        if certified(a, _least_squares_residual(a, c)):
             ruled_out += 1
             continue
-        result = pocs_on_support(ensemble, codes, np.asarray(subset, dtype=np.intp), tol, max_iter)
+        result = pocs_on_support(ensemble, codes, support, tol, max_iter)
         if result.consistent:
             return result
+        ruled_out += result.proved_empty
     if ruled_out == total:
         message = (
             f"no {k}-sparse vector in the radius-1 ball reproduces the codes: "
@@ -351,9 +347,9 @@ def qcs_enumerate(
         )
     else:
         message = (
-            f"no {k}-support of {total} verified within max_iter={max_iter} POCS cycles "
-            f"({ruled_out} certified infeasible); this is not an infeasibility certificate "
-            "(a larger max_iter may verify one)"
+            f"no {k}-support of {total} verified: {ruled_out} certified infeasible and "
+            f"{total - ruled_out} undecided within max_iter={max_iter} Newton steps; "
+            "this is not an infeasibility certificate (a larger max_iter may verify one)"
         )
     raise NoConsistentSolutionError(message, total, max_iter, ruled_out)
 

@@ -224,13 +224,13 @@ def test_reconstruct_k_honours_max_iter(capsys):
     assert "max_iter=1" in err
 
 
-def test_reconstruct_k_finishes_at_a_large_cycle_cap(capsys):
+def test_reconstruct_k_finishes_at_a_large_step_cap(capsys):
     # Every infeasible support before the consistent one is certified, so
-    # none of them runs the 100000-cycle cap.
+    # none of them runs the 100000-step cap.
     code, out, err = run_cli(capsys, "reconstruct", "--n", "10", "--m", "40", "--k", "2", "--seed", "3", "--max-iter", "100000")
     assert code == 0, err
     payload = json.loads(out)
-    assert payload["consistent"] is True and payload["iterations"] == 21
+    assert payload["consistent"] is True and payload["iterations"] == 4
 
 
 def test_tiny_delta_hits_the_code_guard(capsys):

@@ -1,6 +1,6 @@
 """Property tests of the one integer-verified membership test.
 
-Every consistent POCS result and every width witness must pass
+Every consistent solver result and every width witness must pass
 cell_contains on the cell built from the same instance.  Tiny delta makes
 ray exits and slabs short, where rounding puts points on code boundaries.
 """
@@ -8,14 +8,29 @@ ray exits and slabs short, where rounding puts points on code boundaries.
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qconsist.cellgeom import _BALL_TOL, build_cell, cell_contains, estimate_width
 from qconsist.quantizer import QuantizerSpec
 from qconsist.randkit import Stream
 from qconsist.reconstruct import pocs_consistent, pocs_on_support
-from qconsist.sensing import SignalModel, gen_ensemble, sample_signal, sense
+from qconsist.sensing import SensingEnsemble, Signal, SignalModel, gen_ensemble, sample_signal, sense
+
+UNIT = QuantizerSpec(1.0)
+
+
+def scaled(ensemble, factor):
+    """The ensemble with every row multiplied by `factor`."""
+    return SensingEnsemble(phi=ensemble.phi * factor, xi=ensemble.xi, spec=ensemble.spec, seed=ensemble.seed)
+
+
+# column 0 is invisible to every row
+ZERO_COLUMN = SensingEnsemble(
+    phi=np.array([[0.0, 1.0], [0.0, -2.0], [0.0, 0.5]]), xi=np.array([0.1, 0.7, 0.3]), spec=UNIT, seed=0
+)
+# codes within a factor of 2**14 (verifiable) and 2**2 (below rounding) of the 2**62 guard
+NEAR_GUARD = [scaled(gen_ensemble(12, 3, UNIT, 55), 2.0**e) for e in (48, 60)]
 
 
 @st.composite
@@ -32,6 +47,11 @@ def instances(draw):
 
 
 @given(instances())
+@example((ZERO_COLUMN, Signal(np.array([0.3, 0.8]), np.array([0, 1])), Stream(0)))
+@example((ZERO_COLUMN, Signal(np.array([0.0, 0.8])), Stream(0)))
+@example((NEAR_GUARD[0], Signal(np.array([0.0, 0.6, 0.0])), Stream(0)))
+@example((NEAR_GUARD[0], Signal(np.array([0.0, 0.6, 0.0]), np.array([1])), Stream(0)))
+@example((NEAR_GUARD[1], Signal(np.array([0.0, 0.6, 0.0]), np.array([1])), Stream(0)))
 def test_consistent_pocs_results_are_cell_members(instance):
     ensemble, signal, _ = instance
     codes = sense(ensemble, signal).codes

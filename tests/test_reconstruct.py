@@ -14,11 +14,11 @@ from qconsist.cellgeom import _BALL_TOL, build_cell, cell_contains, verified_mem
 from qconsist.quantizer import QuantizerSpec, _encode_values
 from qconsist.randkit import Stream
 from qconsist.reconstruct import (
-    _DENSE_SHARE,
     EnumerationCapError,
     NoConsistentSolutionError,
     SingularMatrixError,
-    _infeasibility_screen,
+    _farkas,
+    _least_squares_residual,
     linear_baseline,
     pocs_consistent,
     pocs_on_support,
@@ -68,22 +68,6 @@ def test_pocs_converges_on_random_instances():
     assert successes == 100
 
 
-def test_pocs_distance_to_member_is_fejer_monotone():
-    ens = gen_ensemble(48, 6, UNIT, 3)
-    sig = sample_signal(SignalModel.unit_ball(6), Stream(4))
-    codes = sense(ens, sig).codes
-    u = np.zeros(6)
-    distances = [np.linalg.norm(u - sig.x)]
-    for _ in range(40):
-        result = pocs_consistent(ens, codes, max_iter=1, x0=u)
-        u = result.x_star
-        distances.append(np.linalg.norm(u - sig.x))
-        if result.consistent:
-            break
-    for a, b in zip(distances, distances[1:]):
-        assert b <= a + 1e-12
-
-
 def test_pocs_on_full_support_matches_plain():
     ens = gen_ensemble(32, 5, UNIT, 5)
     sig = sample_signal(SignalModel.unit_ball(5), Stream(6))
@@ -112,8 +96,18 @@ def test_pocs_reports_failure_on_uninformative_support():
     ens = manual_ensemble([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
     codes = _encode_values(ens.phi @ np.array([0.8, 0.0]) + ens.xi, 1.0)
     result = pocs_on_support(ens, codes, np.array([1]), max_iter=500)
-    assert not result.consistent
+    assert not result.consistent and result.proved_empty
     assert result.residual > 0.0
+
+
+def test_an_empty_cell_ends_with_a_certificate():
+    # codes three steps off on one row of a dense, fine cell leave no point
+    ens = gen_ensemble(60, 3, QuantizerSpec(0.1), 10)
+    codes = sense(ens, np.array([0.5, -0.5, 0.5])).codes
+    codes[0] += 3
+    result = pocs_consistent(ens, codes)
+    assert not result.consistent and result.proved_empty
+    assert result.iterations < 100
 
 
 def test_enumerate_finds_sparse_solutions():
@@ -161,21 +155,31 @@ def test_enumerate_raises_when_nothing_is_consistent():
     assert "not an infeasibility certificate" not in str(info.value)
 
 
-def test_enumeration_failure_names_the_cycle_cap():
-    # The true support {0, 9} verifies after 351 POCS cycles, so the default
-    # 200-cycle cap fails on a feasible instance: the error must say that
-    # it ran out of cycles, not that no solution exists.
-    ens = gen_ensemble(40, 10, UNIT, 7848261063727613129)
-    sig = sample_signal(SignalModel.sparse_ball(10, 2), Stream(12605518005071551451))
+@pytest.mark.parametrize(
+    "m, n, ensemble_seed, signal_seed",
+    [(40, 10, 7848261063727613129, 12605518005071551451), (100, 16, 5003, 6003)],
+)
+def test_enumeration_finds_the_supports_that_need_many_steps(m, n, ensemble_seed, signal_seed):
+    # The true supports {0, 9} and {1, 10} took 351 and 236 cyclic-projection
+    # passes, past the 200 per support that the default cap allowed them.
+    ens = gen_ensemble(m, n, UNIT, ensemble_seed)
+    sig = sample_signal(SignalModel.sparse_ball(n, 2), Stream(signal_seed))
     codes = sense(ens, sig).codes
-    with pytest.raises(NoConsistentSolutionError, match="within max_iter=200 POCS cycles") as info:
-        qcs_enumerate(ens, codes, 2)
-    assert "not an infeasibility certificate" in str(info.value)
-    assert (info.value.supports, info.value.max_iter) == (45, 200)
-    assert 0 < info.value.certified < 45
-    result = qcs_enumerate(ens, codes, 2, max_iter=400)
+    result = qcs_enumerate(ens, codes, 2)
     assert result.consistent
-    assert is_consistent(ens, codes, result.x_star)
+    assert np.flatnonzero(result.x_star).tolist() == sig.support.tolist()
+    assert cell_contains(build_cell(ens, codes), result.x_star)
+
+
+def test_enumeration_failure_names_the_undecided_supports():
+    ens = gen_ensemble(40, 10, UNIT, 5003)
+    codes = sense(ens, sample_signal(SignalModel.sparse_ball(10, 2), Stream(6003))).codes
+    with pytest.raises(NoConsistentSolutionError, match="undecided within max_iter=1 Newton steps") as info:
+        qcs_enumerate(ens, codes, 2, max_iter=1)
+    assert "not an infeasibility certificate" in str(info.value)
+    assert (info.value.supports, info.value.max_iter) == (45, 1)
+    assert 0 < info.value.certified < 45
+    assert f"{info.value.certified} certified infeasible and {45 - info.value.certified} undecided" in str(info.value)
 
 
 def test_linear_baseline_identity():
@@ -218,66 +222,6 @@ def test_linear_baseline_rmse_decays_like_inverse_sqrt():
     assert -0.65 < slope < -0.35
 
 
-def scalar_pocs(cell, tol=None, max_iter=100_000, x0=None):
-    """Oracle: every cycle steps through every row by its own dot product.
-
-    Returns (x_star, iterations, consistent, residual) and the number of
-    rows that moved u in each cycle.
-    """
-    margin = 1e-9 * cell.delta if tol is None else float(tol)
-    phi = cell.phi
-    row_norm2 = np.einsum("ij,ij->i", phi, phi)
-    u = np.zeros(cell.phi.shape[1]) if x0 is None else cell.restrict(np.asarray(x0, dtype=np.float64)).copy()
-
-    def verified(v):
-        return verified_member(cell, v, ball_tol=_BALL_TOL)
-
-    def max_violation(v):
-        y = phi @ v
-        slab = max(0.0, float(np.max(cell.lo - y, initial=0.0)), float(np.max(y - cell.hi, initial=0.0)))
-        return max(slab, float(np.linalg.norm(v)) - cell.ball_radius, 0.0)
-
-    moved = []
-    if verified(u):
-        return (cell.embed(u), 0, True, max_violation(u)), moved
-    iterations = 0
-    consistent = False
-    target_lo = cell.lo + margin
-    target_hi = cell.hi - margin
-    for iterations in range(1, max_iter + 1):
-        moved.append(0)
-        for j in range(cell.m):
-            y = float(phi[j] @ u)
-            c = min(max(y, target_lo[j]), target_hi[j])
-            if y != c:
-                if row_norm2[j] == 0.0:
-                    continue
-                u -= ((y - c) / row_norm2[j]) * phi[j]
-                moved[-1] += 1
-        changed = moved[-1] > 0
-        nrm = float(np.linalg.norm(u))
-        if nrm > cell.ball_radius:
-            u *= cell.ball_radius / nrm
-            changed = True
-        if verified(u):
-            consistent = True
-            break
-        if not changed:
-            break
-    return (cell.embed(u), iterations, consistent, max_violation(u)), moved
-
-
-def assert_matches_scalar_pocs(ens, codes, support, tol, max_iter, x0):
-    if support is None:
-        got = pocs_consistent(ens, codes, tol=tol, max_iter=max_iter, x0=x0)
-    else:
-        got = pocs_on_support(ens, codes, support, tol=tol, max_iter=max_iter, x0=x0)
-    (x_star, iterations, consistent, residual), moved = scalar_pocs(build_cell(ens, codes, 1.0, support), tol, max_iter, x0)
-    assert np.array_equal(got.x_star, x_star)
-    assert (got.iterations, got.consistent, got.residual) == (iterations, consistent, residual)
-    return moved
-
-
 @st.composite
 def pocs_instances(draw):
     """(ensemble, codes, support, tol, max_iter, x0) for one POCS solve.
@@ -286,8 +230,8 @@ def pocs_instances(draw):
     products land exactly on slab ends; a zeroed column makes supports whose
     rows all have row_norm2 == 0, and a start point may sit exactly on row
     0's lower target end.  Random instances draw delta log-uniform in
-    [1e-6, 4] and a support that may miss the signal's, so that POCS can get
-    stuck or run out of a small max_iter.
+    [1e-6, 4] and a support that may miss the signal's, so that the solver
+    may find the cell empty or run out of a small max_iter.
     """
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -328,37 +272,20 @@ def pocs_instances(draw):
 @given(pocs_instances())
 @example((manual_ensemble([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), np.array([0, 1]), None, 0.125, 50, np.array([0.125, 0.5])))
 @example((manual_ensemble([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0]), np.array([0, 1]), np.array([1]), None, 500, None))
-def test_screened_pocs_equals_the_scalar_loop(instance):
-    assert_matches_scalar_pocs(*instance)
-
-
-@pytest.mark.parametrize(
-    "m, n, k, seed, support, max_iter, returns",
-    [
-        (128, 8, 8, 9128, None, 100_000, False),  # feasible: moves on many rows, then on few
-        (40, 10, 2, 5001, (4, 9), 200, True),  # infeasible enumeration supports: few, then many again
-        (40, 10, 2, 5013, (2, 3), 200, True),
-    ],
-)
-def test_screened_pocs_equals_the_scalar_loop_across_dense_and_screened_cycles(m, n, k, seed, support, max_iter, returns):
-    ens = gen_ensemble(m, n, UNIT, seed)
-    codes = sense(ens, sample_signal(SignalModel.sparse_ball(n, k), Stream(seed + 1000))).codes
-    support = None if support is None else np.asarray(support)
-    moved = assert_matches_scalar_pocs(ens, codes, support, None, max_iter, None)
-    dense = [count >= m * _DENSE_SHARE for count in moved]
-    assert dense[0] and not all(dense)
-    assert any(not a and b for a, b in zip(dense, dense[1:])) == returns
-
-
-def test_screened_pocs_equals_the_scalar_loop_on_repeated_rows():
-    # The repeat of a row just stepped onto its slab end lies a few ulps from
-    # that end, where two dot products of the row and u round differently:
-    # a screen without its pad would skip rows the exact step moves.
-    for seed in range(9000, 9010):
-        ens = gen_ensemble(32, 4, QuantizerSpec(1e-3), seed)
-        ens = manual_ensemble(np.vstack([ens.phi, ens.phi[:8]]), np.concatenate([ens.xi, ens.xi[:8]]), 1e-3)
-        codes = sense(ens, sample_signal(SignalModel.unit_ball(4), Stream(seed + 1000))).codes
-        assert_matches_scalar_pocs(ens, codes, None, None, 300, None)
+def test_solver_results_verify_or_are_certified(instance):
+    ens, codes, support, tol, max_iter, x0 = instance
+    if support is None:
+        result = pocs_consistent(ens, codes, tol=tol, max_iter=max_iter, x0=x0)
+    else:
+        result = pocs_on_support(ens, codes, support, tol=tol, max_iter=max_iter, x0=x0)
+    cell = build_cell(ens, codes, 1.0, support)
+    assert result.iterations <= max_iter and cell.on_support(result.x_star)
+    if result.consistent:
+        assert cell_contains(cell, result.x_star, ball_tol=_BALL_TOL)
+    if result.proved_empty:
+        assert not result.consistent
+        if cell.phi.shape[1] <= 2:
+            assert grid_members(ens, codes, np.arange(ens.n) if support is None else support) == []
 
 
 def plain_enumerate(ens, codes, k, max_iter=200):
@@ -385,8 +312,16 @@ def assert_matches_plain_enumerate(ens, codes, k, max_iter=200):
 
 
 def certified_supports(ens, codes, k):
-    certified = _infeasibility_screen(build_cell(ens, codes), k)
-    return [support for support in combinations(range(ens.n), k) if certified(support)]
+    """The supports that stage 1 of qcs_enumerate certifies."""
+    cell = build_cell(ens, codes)
+    certified = _farkas(cell, k)
+    c = cell.lo + cell.delta / 2.0
+    found = []
+    for support in combinations(range(ens.n), k):
+        a = ens.phi[:, list(support)]
+        if certified(a, _least_squares_residual(a, c)):
+            found.append(support)
+    return found
 
 
 @st.composite
@@ -421,7 +356,7 @@ def grid_members(ens, codes, support, points=101):
 @settings(max_examples=20)
 @given(enumeration_instances(), st.integers(0, 5))
 def test_certified_supports_never_verify_under_pocs(instance, pick):
-    # one certified support per instance: each runs the whole 5000-cycle cap
+    # one certified support per instance, with a generous Newton-step cap
     ens, codes, k = instance
     certified = certified_supports(ens, codes, k)
     if certified:
@@ -431,23 +366,72 @@ def test_certified_supports_never_verify_under_pocs(instance, pick):
 
 @given(enumeration_instances().filter(lambda instance: instance[0].n <= 3))
 def test_certified_supports_hold_no_grid_point(instance):
+    # both certificates: stage 1's least-squares y and the barrier's duals
     ens, codes, k = instance
-    for support in certified_supports(ens, codes, k):
+    by_duals = [s for s in combinations(range(ens.n), k) if pocs_on_support(ens, codes, np.asarray(s)).proved_empty]
+    for support in set(certified_supports(ens, codes, k)) | set(by_duals):
         assert grid_members(ens, codes, support) == []
 
 
+@st.composite
+def duals(draw, a):
+    """Some y in R^M for the certificate on the columns `a`.
+
+    Small integer vectors hit the thin directions of lattice cells, at a
+    drawn scale that may be near the ends of the double range, and floats
+    the rest; half of them are projected off the column space of `a`,
+    which drops the ball term rho ||a^T y|| from the certificate.
+    """
+    m = a.shape[0]
+    if draw(st.booleans()):
+        scale = 2.0 ** draw(st.one_of(st.integers(-20, 20), st.integers(-1070, 1020)))
+        y = scale * np.asarray(draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)), float)
+    else:
+        y = np.asarray(draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        y = y - a @ np.linalg.lstsq(a, y, rcond=None)[0]
+    return y
+
+
+def test_a_tiny_dual_keeps_the_ball_term():
+    # u = 1 verifies on rows 1 and -1.  With y = (2**-900, 0) the square of
+    # a^T y underflows, and a norm that lost it would drop rho ||a^T y||
+    # from the certificate and rule u out.
+    ens = manual_ensemble([[1.0], [-1.0]], [0.0, 0.0])
+    cell = build_cell(ens, _encode_values(ens.phi @ [1.0] + ens.xi, 1.0))
+    assert verified_member(cell, np.array([1.0]), ball_tol=_BALL_TOL)
+    certified = _farkas(cell, 1)
+    for scale in (2.0**-1070, 2.0**-900, 1.0, 2.0**900):
+        assert not certified(cell.phi, np.array([scale, 0.0]))
+
+
+@given(enumeration_instances(), st.data())
+def test_no_dual_certifies_a_support_with_a_verified_point(instance, data):
+    ens, codes, k = instance
+    certified = _farkas(build_cell(ens, codes), k)
+    for support in combinations(range(ens.n), k):
+        if pocs_on_support(ens, codes, np.asarray(support)).consistent:
+            a = ens.phi[:, list(support)]
+            for y in data.draw(st.lists(duals(a), min_size=1, max_size=4)):
+                assert not certified(a, y)
+
+
 @settings(max_examples=200)
-@given(st.floats(0.1, 10.0), st.floats(1e-3, 1.0), st.integers(1, 20))
-def test_a_support_with_a_verified_point_is_never_certified(s, delta, j):
+@given(st.floats(0.1, 10.0), st.floats(1e-3, 1.0), st.integers(1, 20), st.data())
+def test_a_support_with_a_verified_point_is_never_certified(s, delta, j, data):
     # Rows s and -s with s*u = j*delta make the cell one point in exact
     # arithmetic, or none: only the rounding margins keep the certificate
-    # from ruling out the point u that verifies.
+    # from ruling out the point u that verifies, with the least-squares y
+    # or any other.
     u = j * delta / s
     ens = manual_ensemble([[s], [-s]], [0.0, 0.0], delta)
     codes = _encode_values(ens.phi @ [u] + ens.xi, delta)
     cell = build_cell(ens, codes)
     if verified_member(cell, np.array([u]), ball_tol=_BALL_TOL):
-        assert not _infeasibility_screen(cell, 1)((0,))
+        assert certified_supports(ens, codes, 1) == []
+        certified = _farkas(cell, 1)
+        for y in [np.ones(2)] + data.draw(st.lists(duals(cell.phi), min_size=1, max_size=4)):
+            assert not certified(cell.phi, y)
 
 
 @given(enumeration_instances())
