@@ -97,7 +97,6 @@ _OPTIONS = {
     "delta": (float, "quantizer resolution, measurement units"),
     "lam": (float, "offset in resolution units; |lam|*delta must stay below 1"),
     "tol": (float, "slack the estimate must keep inside every slab; None means 1e-9*delta"),
-    "max_iter": (int, "Newton-step cap; None means 100000, or 200 per support with --k"),
     "dump_ensemble": (str, "write the ensemble in binary form to this path"),
     "alpha": (float, "center distance in resolution units, > 0"),
     "throws": (int, "Monte Carlo throws"),
@@ -113,10 +112,7 @@ _WIDTH = dict(n=8, k=None, m_list=(32, 64, 128, 256, 512, 1024), trials=50, dire
 # subcommand -> (description, {option: default}); each takes only the options it reads
 _COMMANDS = {
     "sense": ("generate an ensemble + signal and print the quantized codes", dict(_INSTANCE, dump_ensemble=None)),
-    "reconstruct": (
-        "sense a fresh instance and solve for a consistent estimate",
-        dict(_INSTANCE, tol=None, max_iter=None),
-    ),
+    "reconstruct": ("sense a fresh instance and solve for a consistent estimate", dict(_INSTANCE, tol=None)),
     "decay": (
         "width-vs-M sweep with the linear baseline (CSV + JSON summary)",
         dict(_CAMPAIGN, out="decay.csv", **_WIDTH),
@@ -183,12 +179,10 @@ def _cmd_sense(opts: dict) -> int:
 
 def _cmd_reconstruct(opts: dict) -> int:
     ensemble, signal, obs = _instance(opts)
-    # each solver keeps its own step cap unless --max-iter is given
-    cap = {} if opts["max_iter"] is None else {"max_iter": opts["max_iter"]}
     if opts["k"] is None:
-        result = pocs_consistent(ensemble, obs.codes, tol=opts["tol"], **cap)
+        result = pocs_consistent(ensemble, obs.codes, tol=opts["tol"])
     else:
-        result = qcs_enumerate(ensemble, obs.codes, opts["k"], tol=opts["tol"], **cap)
+        result = qcs_enumerate(ensemble, obs.codes, opts["k"], tol=opts["tol"])
     report = {
         "m": opts["m"],
         "n": opts["n"],

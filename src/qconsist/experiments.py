@@ -433,7 +433,8 @@ def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult
 
     Per trial senses a fresh unit-ball signal and reports the normalized
     power ratio and the deviation zeta_hat = (power - M*delta^2/12) /
-    (delta^2*sqrt(M)/12).
+    (delta^2*sqrt(M)/12).  Both are computed in resolution units (the
+    error divided by delta), so that delta^2 cannot overflow.
     """
     spec = QuantizerSpec(cfg.delta)
     model = SignalModel.unit_ball(cfg.n)
@@ -441,10 +442,10 @@ def noise_power_check(cfg: ExperimentConfig, threads: int = 1) -> CampaignResult
     def measure(m, ens_seed, sig_seed):
         ensemble = gen_ensemble(m, cfg.n, spec, ens_seed)
         signal = sample_signal(model, Stream(sig_seed))
-        err = quantization_error(ensemble.phi @ signal.x, ensemble.xi, spec)
+        err = quantization_error(ensemble.phi @ signal.x, ensemble.xi, spec) / cfg.delta
         power = float(err @ err)
-        expected = m * cfg.delta**2 / 12.0
-        zeta = (power - expected) / (cfg.delta**2 * np.sqrt(m) / 12.0)
+        expected = m / 12.0
+        zeta = (power - expected) / (np.sqrt(m) / 12.0)
         return power / expected, float(zeta)
 
     def row(m, recs):

@@ -3,15 +3,16 @@
 All three consistent solvers run one log-barrier method: on the active
 coordinates u of a cell, Newton steps on f_t = -t s - sum log p - sum log q
 - log(R^2 - ||u||^2), p = A u - lo - s, q = hi - A u - s, maximize the
-slack s from u = x0 (default 0; scaled to norm R/2 if outside the ball)
-and s = l - |l| - delta, l the least slack of u.  Each step halves until
-every slack stays positive and f_t falls by a quarter of the Newton
-decrement.  t starts at 1e4 and grows 20-fold once u is centred, no
-halving lowers f_t, or 50 steps pass.  The solver is untrusted: a point
-counts only once verified_member accepts an iterate with s >= tol, and an
-empty cell only once the certificate below proves it.  It gives up after
-`max_iter` steps, once the duality gap (2M + 1)/t is at most tol, or once
-a centred u has s + (2M + 1)/t < tol.
+slack s from u = 0 and s = l - |l| - delta, l the least slack of 0.  Each
+step halves until every slack stays positive and f_t falls by a quarter
+of the Newton decrement.  t starts at 1e4 and grows 20-fold once u is
+centred, no halving lowers f_t, or 50 steps pass.  The solver is
+untrusted: a point counts only once verified_member accepts an iterate
+with s >= tol (never the start, whose s is negative), and an empty cell
+only once the certificate below proves it.  It gives up once the duality
+gap (2M + 1)/t is at most tol, or once a centred u has s + (2M + 1)/t <
+tol.  So a solve takes at most 50 (1 + ceil(log_20((2M + 1)/(1e4 tol))))
+Newton steps, 650 at M = 4096 and the default tol with delta = 1e-6.
 
 The certificate proves the cell on the columns A = phi[:, S] of a support
 S empty.  With cell centres c = lo + delta/2 and any y in R^M, every u on
@@ -84,23 +85,26 @@ __all__ = [
 ]
 
 
+# The most supports qcs_enumerate tries.
+_ENUMERATION_CAP = 100_000
+
+
 class EnumerationCapError(RuntimeError):
-    """The support search space exceeds the configured enumeration cap."""
+    """The support search space exceeds the 100000 supports enumeration tries."""
 
 
 class NoConsistentSolutionError(RuntimeError):
     """No enumerated support verified.
 
-    `supports` is the number of supports tried, `certified` how many of
-    them were proved infeasible, and `max_iter` the Newton-step cap each of
-    the others had.  Only when certified == supports is this a proof that
-    no consistent k-sparse vector exists in the ball.
+    `supports` is the number of supports tried and `certified` how many of
+    them were proved infeasible; the barrier stopped undecided on the
+    others.  Only when certified == supports is this a proof that no
+    consistent k-sparse vector exists in the ball.
     """
 
-    def __init__(self, message: str, supports: int, max_iter: int, certified: int):
+    def __init__(self, message: str, supports: int, certified: int):
         super().__init__(message)
         self.supports = supports
-        self.max_iter = max_iter
         self.certified = certified
 
 
@@ -137,33 +141,18 @@ class ReconstructionResult:
     proved_empty: bool
 
 
-def _check_budget(delta: float, tol: float | None, max_iter: int) -> float:
-    """The slack a returned point must have, once it and the cap are valid."""
+def _check_tol(delta: float, tol: float | None) -> float:
+    """The slack a returned point must have, once it is valid."""
     margin = 1e-9 * delta if tol is None else float(tol)
     if not 0.0 < margin < delta / 2.0:
         raise ValueError(f"tolerance must lie in (0, delta/2), got {margin}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     return margin
 
 
-def _barrier(
-    cell: ConsistencyCell,
-    tol: float | None,
-    max_iter: int,
-    x0: np.ndarray | None,
-) -> ReconstructionResult:
-    margin = _check_budget(cell.delta, tol, max_iter)
+def _barrier(cell: ConsistencyCell, tol: float | None) -> ReconstructionResult:
+    margin = _check_tol(cell.delta, tol)
     a, radius = cell.phi, cell.ball_radius
     m, d = a.shape
-
-    if x0 is None:
-        u = np.zeros(d)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.shape != (cell.dim,):
-            raise ValueError(f"start point has shape {x0.shape}, expected ({cell.dim},)")
-        u = cell.restrict(x0).copy()
 
     def finish(v: np.ndarray, steps: int, consistent: bool, proved_empty: bool = False) -> ReconstructionResult:
         av = a @ v
@@ -171,17 +160,12 @@ def _barrier(
         residual = max(slab, float(np.linalg.norm(v)) - radius, 0.0)
         return ReconstructionResult(cell.embed(v), steps, consistent, residual, proved_empty)
 
-    if verified_member(cell, u, ball_tol=_BALL_TOL):
-        return finish(u, 0, True)
     certified = _farkas(cell, d)
     # slacks (p, q) = g @ (u, s) - h; the start of the module docstring
     g = np.block([[a, -np.ones((m, 1))], [-a, -np.ones((m, 1))]])
     h = np.concatenate([cell.lo, -cell.hi])
-    norm = float(np.linalg.norm(u))
-    if not norm < radius:
-        u *= 0.5 * radius / norm
-    least = float(np.min(g[:, :d] @ u - h))
-    z = np.append(u, least - abs(least) - cell.delta)
+    least = float(np.min(-h))
+    z = np.append(np.zeros(d), least - abs(least) - cell.delta)
 
     def f(z: np.ndarray, t: float) -> float:
         slack, room = g @ z - h, radius * radius - z[:d] @ z[:d]
@@ -192,7 +176,7 @@ def _barrier(
     t, steps, taken = _T0, 0, 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         value = f(z, t)
-        while steps < max_iter:
+        while True:
             u, inv = z[:d], 1.0 / (g @ z - h)
             room = radius * radius - u @ u
             grad = -(g.T @ inv)
@@ -225,35 +209,23 @@ def _barrier(
     return finish(z[:d], steps, False)
 
 
-def pocs_consistent(
-    ensemble: SensingEnsemble,
-    codes: np.ndarray,
-    tol: float | None = None,
-    max_iter: int = 100_000,
-    x0: np.ndarray | None = None,
-) -> ReconstructionResult:
+def pocs_consistent(ensemble: SensingEnsemble, codes: np.ndarray, tol: float | None = None) -> ReconstructionResult:
     """Find a vector reproducing the target codes inside the unit ball.
 
-    The log-barrier of the module docstring, from `x0` (default 0), until
-    an iterate with slack at least `tol` (default 1e-9*delta) verifies, the
-    cell is proved empty, or `max_iter` Newton steps pass.  `iterations`
-    counts Newton steps; a start point that already verifies returns
-    unchanged with iterations=0.
+    The log-barrier of the module docstring, from 0, until an iterate with
+    slack at least `tol` (default 1e-9*delta) verifies, the cell is proved
+    empty, or the stop rule ends it undecided, within the step bound given
+    there.  `iterations` counts Newton steps.
     """
-    return _barrier(build_cell(ensemble, codes), tol, max_iter, x0)
+    return _barrier(build_cell(ensemble, codes), tol)
 
 
 def pocs_on_support(
-    ensemble: SensingEnsemble,
-    codes: np.ndarray,
-    support: np.ndarray,
-    tol: float | None = None,
-    max_iter: int = 100_000,
-    x0: np.ndarray | None = None,
+    ensemble: SensingEnsemble, codes: np.ndarray, support: np.ndarray, tol: float | None = None
 ) -> ReconstructionResult:
     """Same solver restricted to coordinates in `support`; output is
     supported there."""
-    return _barrier(build_cell(ensemble, codes, support=support), tol, max_iter, x0)
+    return _barrier(build_cell(ensemble, codes, support=support), tol)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -302,31 +274,27 @@ def _least_squares_residual(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def qcs_enumerate(
-    ensemble: SensingEnsemble,
-    codes: np.ndarray,
-    k: int,
-    tol: float | None = None,
-    max_iter: int = 200,
-    enumeration_cap: int = 100_000,
+    ensemble: SensingEnsemble, codes: np.ndarray, k: int, tol: float | None = None
 ) -> ReconstructionResult:
     """First consistent k-sparse solution over lexicographic k-supports.
 
     Each support is first offered to the certificate with its least-squares
     residual (module docstring), which rules out only supports that hold no
-    verifiable point; the others get the barrier, with `max_iter` Newton
-    steps each.  Raises EnumerationCapError when C(n, k) exceeds
-    `enumeration_cap`, and NoConsistentSolutionError when no support
-    verifies, a proof only when every support was certified.
+    verifiable point; the others get the barrier, which verifies a point,
+    certifies the support infeasible or stops undecided.  Raises
+    EnumerationCapError when C(n, k) exceeds 100000, and
+    NoConsistentSolutionError when no support verifies, a proof only when
+    every support was certified.
     """
     n = ensemble.n
     SignalModel(n, k)
     total = comb(n, k)
-    if total > enumeration_cap:
+    if total > _ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"support enumeration needs {total} candidates, above the cap {enumeration_cap}"
+            f"support enumeration needs {total} candidates, above the cap {_ENUMERATION_CAP}"
         )
     cell = build_cell(ensemble, codes)
-    _check_budget(cell.delta, tol, max_iter)
+    margin = _check_tol(cell.delta, tol)
     certified = _farkas(cell, k)
     c = cell.lo + cell.delta / 2.0
     ruled_out = 0
@@ -336,7 +304,7 @@ def qcs_enumerate(
         if certified(a, _least_squares_residual(a, c)):
             ruled_out += 1
             continue
-        result = pocs_on_support(ensemble, codes, support, tol, max_iter)
+        result = pocs_on_support(ensemble, codes, support, tol)
         if result.consistent:
             return result
         ruled_out += result.proved_empty
@@ -348,10 +316,10 @@ def qcs_enumerate(
     else:
         message = (
             f"no {k}-support of {total} verified: {ruled_out} certified infeasible and "
-            f"{total - ruled_out} undecided within max_iter={max_iter} Newton steps; "
-            "this is not an infeasibility certificate (a larger max_iter may verify one)"
+            f"{total - ruled_out} undecided, with no point of slack {margin:g} verified; "
+            "this is not an infeasibility certificate (a smaller tol may verify one)"
         )
-    raise NoConsistentSolutionError(message, total, max_iter, ruled_out)
+    raise NoConsistentSolutionError(message, total, ruled_out)
 
 
 def linear_baseline(ensemble: SensingEnsemble, codes: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def test_ensemble_layout_does_not_change_widths_or_pocs_results():
         a, b = (estimate_width(build_cell(e, codes), sig.x, 256, Stream(seed)) for e in (ens, ens_f))
         assert a.value == b.value and np.array_equal(a.witness, b.witness)
         if seed < 4:
-            a, b = (pocs_consistent(e, codes, max_iter=500) for e in (ens, ens_f))
+            a, b = (pocs_consistent(e, codes) for e in (ens, ens_f))
             assert np.array_equal(a.x_star, b.x_star)
             assert (a.iterations, a.consistent, a.residual) == (b.iterations, b.consistent, b.residual)
 

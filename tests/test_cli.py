@@ -218,16 +218,26 @@ def test_reconstruct_reports_consistency(capsys):
     assert "baseline_error" in payload
 
 
-def test_reconstruct_k_honours_max_iter(capsys):
-    code, out, err = run_cli(capsys, "reconstruct", "--n", "10", "--m", "40", "--k", "2", "--seed", "3", "--max-iter", "1")
+def test_reconstruct_k_reports_an_undecided_support(capsys):
+    # at --tol 0.3 one support is neither verified nor certified infeasible
+    code, out, err = run_cli(capsys, "reconstruct", "--n", "10", "--m", "40", "--k", "2", "--seed", "3", "--tol", "0.3")
     assert code == 1 and out == ""
-    assert "max_iter=1" in err
+    assert err.count("\n") == 1 and "1 undecided" in err and "max_iter" not in err
 
 
-def test_reconstruct_k_finishes_at_a_large_step_cap(capsys):
-    # Every infeasible support before the consistent one is certified, so
-    # none of them runs the 100000-step cap.
-    code, out, err = run_cli(capsys, "reconstruct", "--n", "10", "--m", "40", "--k", "2", "--seed", "3", "--max-iter", "100000")
+def test_reconstruct_has_no_step_cap(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "reconstruct", "--max-iter", "100000")
+    assert code == 1 and out == "" and "unrecognized arguments: --max-iter 100000" in err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("max_iter = 100000\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "reconstruct", "--config", str(cfg))
+    assert code == 1 and out == "" and "unknown key 'max_iter'" in err
+
+
+def test_reconstruct_k_certifies_the_supports_before_the_true_one(capsys):
+    # Every infeasible support before the consistent one is certified, and
+    # the true support verifies after 4 Newton steps.
+    code, out, err = run_cli(capsys, "reconstruct", "--n", "10", "--m", "40", "--k", "2", "--seed", "3")
     assert code == 0, err
     payload = json.loads(out)
     assert payload["consistent"] is True and payload["iterations"] == 4
@@ -274,7 +284,7 @@ _WIDTH = {"n": 8, "k": None, "m_list": (32, 64, 128, 256, 512, 1024), "trials": 
 # none may be dropped, added or given another default.
 _RELEASED = {
     "sense": {"seed": 0, "out": None, "n": 8, "m": 64, "k": None, "delta": 1.0, "dump_ensemble": None},
-    "reconstruct": {"seed": 0, "out": None, "n": 8, "m": 64, "k": None, "delta": 1.0, "tol": None, "max_iter": None},
+    "reconstruct": {"seed": 0, "out": None, "n": 8, "m": 64, "k": None, "delta": 1.0, "tol": None},
     "decay": {**_CAMPAIGN, "out": "decay.csv", **_WIDTH},
     "relaxed": {**_CAMPAIGN, "out": "relaxed.csv", **_WIDTH, "r": 2},
     "bias": {**_CAMPAIGN, "out": "bias.csv", "n": 8, "k": 2, "lam": 0.25, "m_list": (1000, 10000), "trials": 200,
@@ -292,7 +302,7 @@ _SAMPLES = {
     "n": ("5", "6", "5.0"), "m": ("33", "34", "1e3"), "k": ("3", "1", "three"), "r": ("1", "3", "one"),
     "m_list": ("16,32", "8,64,128", "16;32"), "trials": ("4", "5", "many"), "directions": ("9", "10", "0x10"),
     "delta": ("0.5", "0.75", "1/2"), "lam": ("0.125", "-0.25", "quarter"), "tol": ("1e-6", "1e-5", "tiny"),
-    "max_iter": ("77", "78", "7.7"), "dump_ensemble": ("e.bin", "f.bin", None), "alpha": ("3.5", "4", "far"),
+    "dump_ensemble": ("e.bin", "f.bin", None), "alpha": ("3.5", "4", "far"),
     "throws": ("1000", "2000", "1e3"), "rho": ("0.2", "0.3", "rho"), "s": ("2.5", "1", "s"),
 }
 

@@ -198,6 +198,14 @@ def test_noise_power_law_and_scaling():
     assert mean_power_scaled / mean_power == pytest.approx(16.0, rel=0.02)
 
 
+def test_noise_power_law_holds_where_delta_squared_overflows():
+    # delta**2 overflows above about 1.3e154; the law is scale-free
+    result = noise_power_check(ExperimentConfig(mode="noise", n=6, m_list=(1000,), trials=300, delta=1e300, seed=9))
+    row = result.per_m[0]
+    assert 0.985 < row["mean_ratio"] < 1.015
+    assert row["p99_zeta"] < 10.0
+
+
 def test_csv_output_format(tmp_path):
     cfg = small_cfg(trials=2, m_list=(16, 32))
     result = decay_sweep(cfg)

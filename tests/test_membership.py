@@ -56,9 +56,9 @@ def test_consistent_pocs_results_are_cell_members(instance):
     ensemble, signal, _ = instance
     codes = sense(ensemble, signal).codes
     if signal.support is None:
-        result = pocs_consistent(ensemble, codes, max_iter=200)
+        result = pocs_consistent(ensemble, codes)
     else:
-        result = pocs_on_support(ensemble, codes, signal.support, max_iter=200)
+        result = pocs_on_support(ensemble, codes, signal.support)
     if result.consistent:
         cell = build_cell(ensemble, codes, 1.0, signal.support)
         assert cell_contains(cell, result.x_star, ball_tol=_BALL_TOL)

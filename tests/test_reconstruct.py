@@ -1,4 +1,4 @@
-"""Feasibility solvers: fixed points, convergence, enumeration, baseline."""
+"""Feasibility solvers: convergence, certificates, enumeration, baseline."""
 
 import math
 import tracemalloc
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qconsist.cellgeom import _BALL_TOL, build_cell, cell_contains, verified_member
 from qconsist.quantizer import QuantizerSpec, _encode_values
+from qconsist import reconstruct
 from qconsist.randkit import Stream
 from qconsist.reconstruct import (
     EnumerationCapError,
@@ -38,19 +39,10 @@ def is_consistent(ens, codes, u):
     return np.array_equal(got, np.asarray(codes)) and np.linalg.norm(u) <= 1.0 + 1e-9
 
 
-def test_consistent_start_is_a_fixed_point():
-    ens = gen_ensemble(16, 3, UNIT, 1)
-    sig = sample_signal(SignalModel.unit_ball(3), Stream(2))
-    codes = sense(ens, sig).codes
-    result = pocs_consistent(ens, codes, x0=sig.x)
-    assert result.consistent
-    assert result.iterations == 0
-    assert np.array_equal(result.x_star, sig.x)
-
-
 def test_single_slab_projection():
+    # the start 0 lies on the slab's lower end, which no returned point may
     ens = manual_ensemble([[1.0]], [0.0])
-    result = pocs_consistent(ens, np.array([0]), x0=np.array([5.0]))
+    result = pocs_consistent(ens, np.array([0]))
     assert result.consistent
     assert 0.0 < result.x_star[0] < 1.0
     assert result.residual == 0.0
@@ -62,7 +54,7 @@ def test_pocs_converges_on_random_instances():
         ens = gen_ensemble(64, 8, UNIT, 1000 + seed)
         sig = sample_signal(SignalModel.unit_ball(8), Stream(2000 + seed))
         codes = sense(ens, sig).codes
-        result = pocs_consistent(ens, codes, max_iter=10_000)
+        result = pocs_consistent(ens, codes)
         if result.consistent and is_consistent(ens, codes, result.x_star):
             successes += 1
     assert successes == 100
@@ -83,7 +75,7 @@ def test_pocs_on_true_support_recovers():
         ens = gen_ensemble(40, 10, UNIT, 3000 + seed)
         sig = sample_signal(SignalModel.sparse_ball(10, 2), Stream(4000 + seed))
         codes = sense(ens, sig).codes
-        result = pocs_on_support(ens, codes, sig.support, max_iter=2_000)
+        result = pocs_on_support(ens, codes, sig.support)
         assert result.consistent
         mask = np.ones(10, dtype=bool)
         mask[sig.support] = False
@@ -95,7 +87,7 @@ def test_pocs_reports_failure_on_uninformative_support():
     # so no vector supported on {1} can be consistent.
     ens = manual_ensemble([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
     codes = _encode_values(ens.phi @ np.array([0.8, 0.0]) + ens.xi, 1.0)
-    result = pocs_on_support(ens, codes, np.array([1]), max_iter=500)
+    result = pocs_on_support(ens, codes, np.array([1]))
     assert not result.consistent and result.proved_empty
     assert result.residual > 0.0
 
@@ -121,12 +113,14 @@ def test_enumerate_finds_sparse_solutions():
         assert is_consistent(ens, codes, result.x_star)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     ens = gen_ensemble(8, 10, UNIT, 7)
     codes = sense(ens, np.zeros(10)).codes
-    with pytest.raises(EnumerationCapError):
-        qcs_enumerate(ens, codes, 2, enumeration_cap=44)  # C(10,2) = 45
-    result = qcs_enumerate(ens, codes, 2, enumeration_cap=45)
+    monkeypatch.setattr(reconstruct, "_ENUMERATION_CAP", 44)
+    with pytest.raises(EnumerationCapError, match="needs 45 candidates, above the cap 44"):
+        qcs_enumerate(ens, codes, 2)  # C(10,2) = 45
+    monkeypatch.setattr(reconstruct, "_ENUMERATION_CAP", 45)
+    result = qcs_enumerate(ens, codes, 2)
     assert result.consistent
 
 
@@ -134,8 +128,8 @@ def test_enumerate_full_support_equals_plain_pocs():
     ens = gen_ensemble(24, 4, UNIT, 8)
     sig = sample_signal(SignalModel.unit_ball(4), Stream(9))
     codes = sense(ens, sig).codes
-    by_enum = qcs_enumerate(ens, codes, 4, max_iter=10_000)
-    plain = pocs_consistent(ens, codes, max_iter=10_000)
+    by_enum = qcs_enumerate(ens, codes, 4)
+    plain = pocs_consistent(ens, codes)
     assert by_enum.consistent and plain.consistent
     assert np.array_equal(by_enum.x_star, plain.x_star)
 
@@ -147,7 +141,7 @@ def test_enumerate_raises_when_nothing_is_consistent():
     x = np.array([0.5, -0.5, 0.5])
     codes = sense(ens, x).codes
     with pytest.raises(NoConsistentSolutionError) as info:
-        qcs_enumerate(ens, codes, 1, max_iter=200)
+        qcs_enumerate(ens, codes, 1)
     # every support is certified infeasible, so the error is a proof
     assert (info.value.supports, info.value.certified) == (3, 3)
     assert "no 1-sparse vector in the radius-1 ball" in str(info.value)
@@ -172,14 +166,16 @@ def test_enumeration_finds_the_supports_that_need_many_steps(m, n, ensemble_seed
 
 
 def test_enumeration_failure_names_the_undecided_supports():
+    # No point of the one support left keeps a slack of 0.3 and verifies,
+    # and no certificate rules it out: the stop rule leaves it undecided.
     ens = gen_ensemble(40, 10, UNIT, 5003)
     codes = sense(ens, sample_signal(SignalModel.sparse_ball(10, 2), Stream(6003))).codes
-    with pytest.raises(NoConsistentSolutionError, match="undecided within max_iter=1 Newton steps") as info:
-        qcs_enumerate(ens, codes, 2, max_iter=1)
-    assert "not an infeasibility certificate" in str(info.value)
-    assert (info.value.supports, info.value.max_iter) == (45, 1)
-    assert 0 < info.value.certified < 45
-    assert f"{info.value.certified} certified infeasible and {45 - info.value.certified} undecided" in str(info.value)
+    with pytest.raises(NoConsistentSolutionError) as info:
+        qcs_enumerate(ens, codes, 2, tol=0.3)
+    message = str(info.value)
+    assert (info.value.supports, info.value.certified) == (45, 44)
+    assert "44 certified infeasible and 1 undecided, with no point of slack 0.3 verified" in message
+    assert "not an infeasibility certificate" in message and "max_iter" not in message
 
 
 def test_linear_baseline_identity():
@@ -224,14 +220,14 @@ def test_linear_baseline_rmse_decays_like_inverse_sqrt():
 
 @st.composite
 def pocs_instances(draw):
-    """(ensemble, codes, support, tol, max_iter, x0) for one POCS solve.
+    """(ensemble, codes, support, tol) for one barrier solve.
 
     Lattice instances draw dyadic rows, dithers, margins and points, so
     products land exactly on slab ends; a zeroed column makes supports whose
-    rows all have row_norm2 == 0, and a start point may sit exactly on row
-    0's lower target end.  Random instances draw delta log-uniform in
-    [1e-6, 4] and a support that may miss the signal's, so that the solver
-    may find the cell empty or run out of a small max_iter.
+    rows all have row_norm2 == 0, and row 0's lower or upper slab end may
+    pass through the origin, where the barrier starts.  Random instances
+    draw delta log-uniform in [1e-6, 4] and a support that may miss the
+    signal's, so that the solver may find the cell empty or stop undecided.
     """
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -244,14 +240,11 @@ def pocs_instances(draw):
             phi[:, draw(st.integers(0, n - 1))] = 0.0
         xi = delta * np.asarray(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), min_size=len(phi), max_size=len(phi))))
         tol = delta * draw(st.sampled_from([0.125, 0.25]))
-        truth = np.asarray(draw(points))
-        codes = _encode_values(phi @ truth + xi, delta)
-        x0 = np.asarray(draw(points)) if draw(st.booleans()) else None
-        if x0 is not None and draw(st.booleans()):
-            # put x0 on row 0's lower target end: delta*code - xi + tol
-            v = float(phi[0] @ x0) - tol
-            codes[0] = math.ceil(v / delta)
-            xi[0] = delta * codes[0] - v
+        codes = _encode_values(phi @ np.asarray(draw(points)) + xi, delta)
+        if draw(st.booleans()):
+            # xi_0 = delta*code_0 puts row 0's slab end delta*code_0 - xi_0 at
+            # 0; dithers in [0, delta) leave code 0 (lower end) or -1 (upper)
+            codes[0], xi[0] = draw(st.sampled_from([0, -1])), 0.0
         ens = manual_ensemble(phi, xi, delta)
     else:
         delta = 10.0 ** draw(st.floats(-6.0, math.log10(4.0)))
@@ -262,51 +255,66 @@ def pocs_instances(draw):
         model = SignalModel.sparse_ball(n, draw(st.integers(1, n)))
         codes = sense(ens, sample_signal(model, Stream(draw(st.integers(0, 2**63))))).codes
         tol = draw(st.sampled_from([None, delta * 1e-3]))
-        x0 = sample_signal(SignalModel.unit_ball(n), Stream(draw(st.integers(0, 2**63)))).x if draw(st.booleans()) else None
     support = None
     if draw(st.booleans()):
         support = np.asarray(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))))
-    return ens, codes, support, tol, draw(st.integers(1, 300)), x0
+    return ens, codes, support, tol
+
+
+def slack(cell, x):
+    """The least distance of cell.phi @ x inside the slabs [lo, hi]."""
+    ax = cell.phi @ cell.restrict(x)
+    return float(min(np.min(ax - cell.lo), np.min(cell.hi - ax)))
+
+
+def step_bound(m, margin):
+    """Newton steps the stop rule allows a solve on M rows: at most 50 per
+    round, with t = 1e4 * 20**j in round j, until the gap (2M + 1)/t is at
+    most the margin, tol or its default 1e-9*delta."""
+    return 50 * (1 + max(0, math.ceil(math.log((2 * m + 1) / (1e4 * margin), 20))))
 
 
 @given(pocs_instances())
-@example((manual_ensemble([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), np.array([0, 1]), None, 0.125, 50, np.array([0.125, 0.5])))
-@example((manual_ensemble([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0]), np.array([0, 1]), np.array([1]), None, 500, None))
+@example((manual_ensemble([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), np.array([0, 1]), None, 0.125))
+@example((manual_ensemble([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0]), np.array([0, 1]), np.array([1]), None))
+@example((manual_ensemble([[1.0], [2.0]], [0.0, 0.0]), np.array([0, 0]), None, 0.25))
 def test_solver_results_verify_or_are_certified(instance):
-    ens, codes, support, tol, max_iter, x0 = instance
+    ens, codes, support, tol = instance
     if support is None:
-        result = pocs_consistent(ens, codes, tol=tol, max_iter=max_iter, x0=x0)
+        result = pocs_consistent(ens, codes, tol=tol)
     else:
-        result = pocs_on_support(ens, codes, support, tol=tol, max_iter=max_iter, x0=x0)
+        result = pocs_on_support(ens, codes, support, tol=tol)
     cell = build_cell(ens, codes, 1.0, support)
-    assert result.iterations <= max_iter and cell.on_support(result.x_star)
+    margin = 1e-9 * ens.spec.delta if tol is None else tol
+    assert result.iterations <= step_bound(ens.m, margin) and cell.on_support(result.x_star)
     if result.consistent:
         assert cell_contains(cell, result.x_star, ball_tol=_BALL_TOL)
+        assert slack(cell, result.x_star) >= margin
     if result.proved_empty:
         assert not result.consistent
         if cell.phi.shape[1] <= 2:
             assert grid_members(ens, codes, np.arange(ens.n) if support is None else support) == []
 
 
-def plain_enumerate(ens, codes, k, max_iter=200):
-    """Oracle: POCS on every k-support in order, with no screen."""
+def plain_enumerate(ens, codes, k):
+    """Oracle: the barrier on every k-support in order, with no screen."""
     supports = list(combinations(range(ens.n), k))
     for support in supports:
-        result = pocs_on_support(ens, codes, np.asarray(support), max_iter=max_iter)
+        result = pocs_on_support(ens, codes, np.asarray(support))
         if result.consistent:
             return result
-    raise NoConsistentSolutionError("no support verified", len(supports), max_iter, 0)
+    raise NoConsistentSolutionError("no support verified", len(supports), 0)
 
 
-def assert_matches_plain_enumerate(ens, codes, k, max_iter=200):
+def assert_matches_plain_enumerate(ens, codes, k):
     try:
-        want = plain_enumerate(ens, codes, k, max_iter)
+        want = plain_enumerate(ens, codes, k)
     except NoConsistentSolutionError as exc:
         with pytest.raises(NoConsistentSolutionError) as info:
-            qcs_enumerate(ens, codes, k, max_iter=max_iter)
-        assert (info.value.supports, info.value.max_iter) == (exc.supports, exc.max_iter)
+            qcs_enumerate(ens, codes, k)
+        assert info.value.supports == exc.supports
         return
-    got = qcs_enumerate(ens, codes, k, max_iter=max_iter)
+    got = qcs_enumerate(ens, codes, k)
     assert np.array_equal(got.x_star, want.x_star)
     assert (got.iterations, got.consistent, got.residual) == (want.iterations, want.consistent, want.residual)
 
@@ -342,6 +350,13 @@ def enumeration_instances(draw):
     return ens, codes, k
 
 
+@given(enumeration_instances())
+def test_every_support_solve_stays_within_the_step_bound(instance):
+    ens, codes, k = instance
+    for support in combinations(range(ens.n), k):
+        assert pocs_on_support(ens, codes, np.asarray(support)).iterations <= step_bound(ens.m, 1e-9 * ens.spec.delta)
+
+
 def grid_members(ens, codes, support, points=101):
     """Points of a grid over [-1, 1]^k on the support that pass cell_contains."""
     cell = build_cell(ens, codes, 1.0, np.asarray(support))
@@ -356,12 +371,12 @@ def grid_members(ens, codes, support, points=101):
 @settings(max_examples=20)
 @given(enumeration_instances(), st.integers(0, 5))
 def test_certified_supports_never_verify_under_pocs(instance, pick):
-    # one certified support per instance, with a generous Newton-step cap
+    # one certified support per instance, which the barrier must not verify
     ens, codes, k = instance
     certified = certified_supports(ens, codes, k)
     if certified:
         support = certified[pick % len(certified)]
-        assert not pocs_on_support(ens, codes, np.asarray(support), max_iter=5000).consistent
+        assert not pocs_on_support(ens, codes, np.asarray(support)).consistent
 
 
 @given(enumeration_instances().filter(lambda instance: instance[0].n <= 3))
@@ -454,7 +469,7 @@ def enumerate_quietly(ens, codes, k):
 
 def test_screen_falls_through_on_a_zero_column():
     # Column 0 is invisible to both rows: its 1x1 Gram matrix is singular, so
-    # support {0} gets POCS (which cannot verify it) and support {1} verifies.
+    # support {0} gets the barrier (which cannot verify it) and support {1} verifies.
     ens = manual_ensemble([[0.0, 1.0], [0.0, 2.0]], [0.0, 0.0])
     codes = _encode_values(ens.phi @ np.array([0.0, 0.8]) + ens.xi, 1.0)
     assert certified_supports(ens, codes, 1) == []
@@ -478,7 +493,7 @@ def test_screen_falls_through_on_repeated_columns():
 def test_screen_falls_through_near_the_code_guard():
     # Rows scaled by 2**60 put codes within a factor of 8 of the 2**62 guard,
     # where one code step is below the rounding of the cell bounds.  The
-    # signal's support {1} is not certified and still gets POCS; the other
+    # signal's support {1} is not certified and still gets the barrier; the other
     # columns miss the codes by ~1e18, which the certificate still proves.
     ens = gen_ensemble(12, 3, UNIT, 55)
     ens = manual_ensemble(ens.phi * 2.0**60, ens.xi)
