@@ -30,6 +30,7 @@ from functools import cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._blas import one_blas_thread
 from .quantizer import QuantizerSpec, _encode_values
 from .randkit import Stream, gauss, uniform
 
@@ -159,7 +160,9 @@ def estimate_p1(
     sphere scaled to `phi_norm` otherwise; with radius 0 and phi_norm 1
     the latter is the classic needle-versus-grid non-crossing experiment
     at segment length ||p - q||/delta grid units.  All rows are drawn
-    before their dithers.
+    before their dithers.  numpy's OpenBLAS runs one thread inside
+    (one_blas_thread): the thin products over `throws` rows gain nothing
+    from a second one, which only busy-waits.
     """
     if throws < 1:
         raise ValueError(f"throws must be >= 1, got {throws}")
@@ -171,7 +174,9 @@ def estimate_p1(
         norms[norms == 0.0] = 1.0  # probability-zero guard
         rows = rows * (phi_norm / norms)[:, None]
     xi = uniform(stream, 0.0, cfg.delta, throws)
-    return ProbEstimate.from_hits(int(_events(rows, xi, cfg).sum()), throws)
+    with one_blas_thread():
+        hits = int(_events(rows, xi, cfg).sum())
+    return ProbEstimate.from_hits(hits, throws)
 
 
 def _tail_integral(c: np.ndarray, n: int) -> np.ndarray:
@@ -264,8 +269,10 @@ def chi_pdf(phi: np.ndarray, n: int) -> np.ndarray:
 
 @cache
 def _mixture_rule() -> tuple[np.ndarray, np.ndarray]:
-    # computed on first use, not at import
-    return leggauss(_MIXTURE_NODES)
+    # computed on first use, not at import; its eigenvalue solve gets one
+    # BLAS thread, like estimate_p1's products
+    with one_blas_thread():
+        return leggauss(_MIXTURE_NODES)
 
 
 def mixture_p1(alpha: float, rho_ratio: float, n: int) -> float:

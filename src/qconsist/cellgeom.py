@@ -14,11 +14,28 @@ Membership has one test, verified_member: the ball norm, then the l1
 distance of integer codes.
 
 Rays from an interior point exit the cell in closed form: each slab with
-directional gradient g = phi_j . d bounds t by (hi_j - w_j)/g for g > 0 or
-(lo_j - w_j)/g for g < 0 (no bound for g = 0), the ball bounds t by the
-positive root of ||x0 + t d|| = R, and the exit is the minimum.  For the
-relaxed cell the exit is the time of the (r+1)-th grid-boundary crossing
-accumulated over all measurements, or the ball exit if that comes first.
+directional gradient g = phi_j . d bounds t by its first crossing,
+(hi_j - w_j)/g for g > 0 or (lo_j - w_j)/g for g < 0 (no bound for g = 0),
+the ball bounds t by the positive root of ||x0 + t d|| = R, and the exit
+is the minimum.  The kernel takes the first crossing as the larger of the
+two quotients, with no case split, and gets the same double:
+- lo_j <= hi_j, and subtraction rounds monotonically, so the computed gaps
+  keep lo_j - w_j <= hi_j - w_j exactly; division by a g of fixed sign
+  rounds monotonically too, so the larger quotient is the one the case
+  split picks.  The two differ in bits yet compare equal only as +0 and
+  -0, when both underflow, and the clamp at 0 below returns +0 for either.
+- For g = 0 the quotients are -inf and +inf, so the row never crosses, on
+  every row with lo_j - w_j < 0 < hi_j - w_j.  Only a row with
+  hi_j - w_j <= 0 or lo_j - w_j >= 0, where the origin sits on a slab
+  boundary or past it by rounding, can give -inf or nan (0/0); those rows
+  are found in O(M), and only their g = 0 entries are set to inf.
+- Membership guarantees lo <= w < hi only up to rounding, so crossings are
+  clamped at 0.  For the strict exit the clamp follows the min over rows,
+  with which it commutes, so it runs once per direction.
+
+For the relaxed cell the exit is the time of the (r+1)-th grid-boundary
+crossing accumulated over all measurements, or the ball exit if that comes
+first.
 Crossing times per measurement form an arithmetic progression (first
 boundary ahead, then every delta/|g|), so only the first r+1 terms of each
 progression can matter.  Nor can any measurement outside the r+1 whose
@@ -44,7 +61,9 @@ The pad, _SCREEN_PAD = 1e-8, makes "L_j*(1 - pad) > U in floating point"
 imply "computed first crossing > U" for every d, with u = 2^-53 and n = dim:
 - dist_j is the computed min of the two doubles hi - w and w - lo, and the
   slab end ahead of the ray is one of them (w - lo = -(lo - w) exactly), so
-  |end| >= dist_j holds exactly.  A dist_j <= 0 (an origin on a slab
+  |end| >= dist_j holds exactly.  The computed first crossing is end/g, the
+  same double whether taken from the case split or as the larger quotient,
+  so what follows holds for either form.  A dist_j <= 0 (an origin on a slab
   boundary, or past it by rounding) gives L_j <= 0, and U >= 0, so the row
   is kept.
 - |fl(g)| <= (1 + n u)*||phi_j||*||d|| in any summation order, FMA or not;
@@ -74,6 +93,7 @@ the pullback doubles until the witness verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,17 +261,23 @@ def _slab_exits(gap_hi: np.ndarray, gap_lo: np.ndarray, g: np.ndarray, delta: fl
 
     `gap_hi` and `gap_lo` are hi - w and lo - w per row, and g is phi . d per
     row and column; with no rows nothing crosses, and every time is inf.
+    A row's first crossing is max(gap_hi/g, gap_lo/g), the slab end ahead
+    of the ray over g, with inf where g == 0 on the rows of an origin on or
+    past a slab boundary (module docstring).
     """
-    # the slab end ahead of each ray; g == 0 rows never cross, and a
-    # subnormal g may overflow the quotient to inf
-    end = np.where(g > 0.0, gap_hi[:, None], gap_lo[:, None])
+    # a subnormal g may overflow a quotient to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first = np.where(g != 0.0, end / g, np.inf)
+        first = np.divide(gap_hi[:, None], g)
+        np.maximum(first, np.divide(gap_lo[:, None], g), out=first)
+    # g == 0 gives +inf on rows with gap_lo < 0 < gap_hi
+    edge = np.flatnonzero((gap_hi <= 0.0) | (gap_lo >= 0.0))
+    if edge.size:
+        first[edge] = np.where(g[edge] == 0.0, np.inf, first[edge])
     # membership guarantees lo <= w < hi up to rounding; clamp the ulp-level
-    # negatives that exact-boundary origins can produce
-    first = np.maximum(first, 0.0)
+    # negatives that exact-boundary origins can produce, after the min for r = 0
     if r == 0 or not g.shape[0]:
-        return first.min(axis=0, initial=np.inf)
+        return np.maximum(first.min(axis=0, initial=np.inf), 0.0)
+    np.maximum(first, 0.0, out=first)
     # The r+1 earliest first crossings are r+1 crossings no later than the
     # largest of them, and every other row crosses no earlier than that; so
     # the (r+1)-th crossing overall comes from those r+1 rows alone.
@@ -352,6 +378,15 @@ def _random_directions(stream: Stream, dim: int, count: int) -> np.ndarray:
             return (a / norms[:, None]).T
 
 
+@lru_cache(maxsize=4)
+def _signed_axes(dim: int) -> np.ndarray:
+    # [I, -I], one column per signed canonical axis; read-only, since every
+    # estimate_width call with this dim shares it
+    axes = np.hstack([np.eye(dim), -np.eye(dim)])
+    axes.flags.writeable = False
+    return axes
+
+
 def estimate_width(
     cell: ConsistencyCell,
     center: np.ndarray,
@@ -376,8 +411,7 @@ def estimate_width(
         raise NotInCellError("width center is not a member of the cell")
     dim = cell.phi.shape[1]
     rand = _random_directions(stream, dim, num_directions)
-    axes = np.hstack([np.eye(dim), -np.eye(dim)])
-    directions = np.hstack([rand, axes])
+    directions = np.hstack([rand, _signed_axes(dim)])
     center_act = cell.restrict(center)
     exits = _ray_exits(cell, center_act, directions, r)
     margin = _EXIT_MARGIN

@@ -20,14 +20,13 @@ Column meaning by mode:
 
 from __future__ import annotations
 
-import ctypes
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .bounds import _check_eta, min_measurements, predicted_eps
 from .cellgeom import build_cell, empirical_worst_case, estimate_width
 from .quantizer import QuantizerSpec, l1_discrepancy, quantization_error
@@ -169,51 +168,6 @@ def _map_tasks(fn, args_list, threads: int):
         return list(pool.map(lambda args: fn(*args), args_list))
 
 
-# (prefix, suffix) of OpenBLAS's thread-count functions: numpy 2.x's
-# 64-bit-integer build, numpy 1.x's, scipy-openblas's 32-bit-integer build,
-# then a plain OpenBLAS
-_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", "64_"), ("scipy_openblas", ""), ("openblas", ""))
-
-
-def _openblas_libraries() -> list:
-    """(get, set) thread-count functions of the OpenBLAS numpy multiplies with.
-
-    Looked up through numpy's own linear-algebra extension, whose handle
-    resolves the symbols of the BLAS it links; empty for any other BLAS
-    or where the lookup cannot reach them.
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return []
-    for prefix, suffix in _OPENBLAS_NAMES:
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return [(get, put)]
-    return []
-
-
-@contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS runs one thread inside; the old count comes back after.
-
-    Campaign tasks multiply small matrices, where a second BLAS thread only
-    busy-waits and competes with the runner's own threads for the cores.
-    """
-    libraries = _openblas_libraries()
-    old = [get() for get, _ in libraries]
-    for _, put in libraries:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(libraries, old):
-            put(count)
-
-
 def _task_seed(master: int, global_index: int) -> tuple[int, int, int]:
     seed_t = derive_stream(master, global_index)
     return seed_t, derive_stream(seed_t, 0), derive_stream(seed_t, 1)
@@ -228,7 +182,7 @@ def _run(cfg: ExperimentConfig, label: tuple[str, int, int], measure, threads: i
     `measure(m, ens_seed, sig_seed)` returns the record's (value, baseline)
     and `label` its (mode, k, r).  `row(m, records_at_m)` builds the per-M
     summary rows, in m_list order.  Returns (records, rows).  Tasks run
-    with one BLAS thread each (_one_blas_thread).
+    with one BLAS thread each (one_blas_thread).
     """
     mode, k, r = label
     m_list = cfg.m_list if m_list is None else m_list
@@ -243,7 +197,7 @@ def _run(cfg: ExperimentConfig, label: tuple[str, int, int], measure, threads: i
         return RunRecord(mode, cfg.n, k, m, r, trial, seed_t, value, baseline, wall_ms)
 
     tasks = [(mi, m, trial) for mi, m in enumerate(m_list) for trial in range(cfg.trials)]
-    with _one_blas_thread():
+    with one_blas_thread():
         records = _map_tasks(task, tasks, threads)
     records.sort(key=lambda rec: (rec.m, rec.trial))
     if row is None:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qconsist import experiments
+from qconsist import _blas, buffon, experiments
 from qconsist.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -17,6 +17,7 @@ from qconsist.experiments import (
     proximity_violation_scan,
     write_records,
 )
+from qconsist.randkit import Stream
 
 
 def small_cfg(**overrides):
@@ -232,7 +233,7 @@ def test_csv_determinism_modulo_wall_time(tmp_path):
 
 
 def openblas_or_skip():
-    libraries = experiments._openblas_libraries()
+    libraries = _blas.openblas_libraries()
     if not libraries:
         pytest.skip("no OpenBLAS is loaded")
     return libraries
@@ -246,7 +247,7 @@ def test_finder_returns_numpys_openblas_alone():
         pytest.skip("numpy < 1.26 cannot report its BLAS as a dict")
     import scipy.integrate  # noqa: F401  (loads scipy's own OpenBLAS as well)
 
-    libraries = experiments._openblas_libraries()
+    libraries = _blas.openblas_libraries.__wrapped__()  # a fresh lookup, not the cached one
     assert len(libraries) == (1 if "openblas" in blas.lower() else 0)
     assert all(get() >= 1 for get, _ in libraries)
 
@@ -260,6 +261,38 @@ def test_runner_tasks_see_one_blas_thread(threads):
 
     records, _ = experiments._run(small_cfg(trials=3), ("grfcq", 0, 0), measure, threads)
     assert [rec.value for rec in records] == [1.0] * 9
+
+
+def test_dumbbell_estimate_sees_one_blas_thread(monkeypatch):
+    libraries = openblas_or_skip()
+    old = [get() for get, _ in libraries]
+    seen = []
+
+    def counting(fn):
+        def call(*args):
+            seen.append((fn.__name__, max(get() for get, _ in libraries)))
+            return fn(*args)
+
+        return call
+
+    # the dumbbell products and the chi-mixture's one eigenvalue solve
+    monkeypatch.setattr(buffon, "_events", counting(buffon._events))
+    monkeypatch.setattr(buffon, "leggauss", counting(buffon.leggauss))
+    buffon._mixture_rule.cache_clear()
+    try:
+        # two threads before the call, so restoring is not the same as pinning
+        for _, put in libraries:
+            put(2)
+        p, q = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        cfg = buffon.DumbbellConfig(n=3, p=p, q=q, radius=buffon.dumbbell_radius(p, q, 3), delta=1.0)
+        buffon.estimate_p1(cfg, 1000, Stream(5))
+        buffon.verify_bound_chain(3, 1.0, 1000, Stream(6))
+        assert seen == [("_events", 1), ("_events", 1), ("leggauss", 1)]
+        assert [get() for get, _ in libraries] == [2] * len(libraries)
+    finally:
+        buffon._mixture_rule.cache_clear()
+        for (_, put), count in zip(libraries, old):
+            put(count)
 
 
 def test_runner_restores_the_blas_thread_count():
@@ -286,6 +319,6 @@ def test_runner_restores_the_blas_thread_count():
 def test_runner_works_without_openblas(monkeypatch):
     cfg = small_cfg(trials=2)
     pinned = [rec.value for rec in decay_sweep(cfg).records]
-    monkeypatch.setattr(experiments, "_openblas_libraries", lambda: [])
+    monkeypatch.setattr(_blas, "openblas_libraries", lambda: ())
     for threads in (1, 2):
         assert [rec.value for rec in decay_sweep(cfg, threads).records] == pinned
