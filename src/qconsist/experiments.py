@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.directions < 1:
             raise ValueError(f"directions must be >= 1, got {self.directions}")
+        if self.signals < 1:
+            raise ValueError(f"signals must be >= 1, got {self.signals}")
         m_list = tuple(int(m) for m in self.m_list)
         if any(m < 1 for m in m_list):
             raise ValueError("every M must be >= 1")

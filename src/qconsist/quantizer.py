@@ -72,10 +72,9 @@ class QuantizedObservation:
 
 
 def _encode_values(values: np.ndarray, delta: float) -> np.ndarray:
-    scaled = np.array(values, dtype=np.float64)
-    scaled /= delta
+    scaled = np.divide(values, delta, dtype=np.float64)
     # one guard pass; NaN fails it too, and only then is the cause looked up
-    if not np.all(np.abs(scaled) < _CODE_LIMIT):
+    if not (np.abs(scaled) < _CODE_LIMIT).all():
         if not np.all(np.isfinite(scaled)):
             raise ValueError("cannot quantize non-finite values")
         raise ValueError("input magnitude exceeds the 2**62 code guard; refusing to wrap")

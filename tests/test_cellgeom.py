@@ -1,16 +1,19 @@
 """Cell geometry: membership, closed-form ray exits vs oracles, width estimates."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qconsist import cellgeom
 from qconsist.cellgeom import (
     _BALL_TOL,
     NotInCellError,
     _ball_exits,
+    _cell,
     _ray_exits,
     _random_directions,
     _screen_rows,
@@ -381,6 +384,61 @@ def test_empirical_worst_case_shrinks_well_inside_ball():
     assert result.max_width < 1.0
 
 
+def per_trial_worst_case(ensemble, model, trials, num_directions, master_seed):
+    """Reference: one sense, build_cell and estimate_width per trial."""
+    widths = []
+    for i in range(trials):
+        stream = substream(master_seed, i)
+        signal = sample_signal(model, stream)
+        cell = build_cell(ensemble, sense(ensemble, signal).codes, 1.0, signal.support)
+        widths.append(estimate_width(cell, signal.x, num_directions, stream).value)
+    return np.array(widths)
+
+
+def widths_or_error(run):
+    try:
+        return run().tobytes()
+    except NotInCellError:
+        return NotInCellError
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    k=st.none() | st.integers(1, 5),
+    m=st.integers(1, 48) | st.integers(400, 600),
+    count=st.integers(1, 24) | st.just(64),
+    trials=st.integers(1, 11),
+    block=st.none() | st.integers(1, 4),
+    delta=st.sampled_from([0.05, 0.3, 1.0]),
+    seeds=st.tuples(st.integers(0, 2**63), st.integers(0, 2**63)),
+)
+@example(n=3, k=None, m=99, count=128, trials=23, block=None, delta=1.0, seeds=(5, 6))
+@example(n=5, k=2, m=500, count=64, trials=3, block=2, delta=0.3, seeds=(7, 8))
+def test_worst_case_equals_the_per_trial_loop(n, k, m, count, trials, block, delta, seeds):
+    # M from 400 with 64 directions puts cells past _SCREEN_PAIRS, so they go
+    # alone through the row screen; `block` sets B, and most trial counts
+    # are not a multiple of it.  The first example is C9's shape, in blocks
+    # of the default size.
+    model = SignalModel(n, None if k is None else min(k, n))
+    ens = gen_ensemble(m, n, QuantizerSpec(delta), seeds[0])
+    pairs = m * (count + 2 * (model.k or n))
+    block_pairs = cellgeom._BLOCK_PAIRS if block is None else block * pairs
+    with mock.patch.object(cellgeom, "_BLOCK_PAIRS", block_pairs):
+        batched = widths_or_error(lambda: empirical_worst_case(ens, model, trials, count, seeds[1]).widths)
+    assert batched == widths_or_error(lambda: per_trial_worst_case(ens, model, trials, count, seeds[1]))
+
+
+def test_worst_case_checks_the_direction_count_before_drawing():
+    def no_draws(*args):
+        raise AssertionError("drew a signal")
+
+    ens = gen_ensemble(8, 2, UNIT, 3)
+    with mock.patch.object(cellgeom, "sample_signal", no_draws):
+        with pytest.raises(ValueError, match="need at least one direction, got 0"):
+            empirical_worst_case(ens, SignalModel.unit_ball(2), 4, 0, master_seed=1)
+
+
 def test_median_width_shrinks_with_m():
     def median_width(m: int) -> float:
         ens_seed = 2600 + m
@@ -504,6 +562,65 @@ def test_ray_exits_equal_the_full_candidate_tensor(instance, r):
     cell, x0_act, directions = instance
     exits = _ray_exits(cell, x0_act, directions, r)
     assert exits.tobytes() == tensor_ray_exits(cell, x0_act, directions, r).tobytes()
+
+
+def around(cell, x_act, directions):
+    """A ray instance on `cell`'s ensemble and support, from another origin."""
+    codes = _encode_values(cell.phi @ x_act + cell.ensemble.xi, cell.delta)
+    return build_cell(cell.ensemble, codes, 1.0, cell.support), x_act, directions
+
+
+def zero_row_instance():
+    """A zero row, which has g = 0 along every direction, and the rows e1
+    and e2, which have g = 0 along the other axis, shot along every signed
+    axis from an origin on row 1's lo slab end."""
+    ens = manual_ensemble([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.25], 0.5)
+    x = np.array([0.5, -0.25])
+    cell = build_cell(ens, _encode_values(ens.phi @ x + ens.xi, 0.5))
+    assert cell.lo[1] == x[0]
+    return cell, x, np.hstack([np.eye(2), -np.eye(2)])
+
+
+def block_around(instance, origins):
+    cell, x, directions = instance
+    return [instance] + [around(cell, np.asarray(o, float), directions[:, ::-1]) for o in origins]
+
+
+@st.composite
+def ray_blocks(draw):
+    """Up to four ray instances on one ray_instances draw's ensemble and
+    support: the draw itself, then origins at dyadic multiples of its own
+    (the origin itself, so a repeated cell, among them), each shot along a
+    rolled, possibly negated copy of its directions; and whether the block
+    shares one phi or stacks a copy per cell, as cells of differing
+    supports do."""
+    cell, x0, directions = draw(ray_instances())
+    members = [(cell, x0, directions)]
+    for _ in range(draw(st.integers(0, 3))):
+        scale = draw(st.sampled_from([1.0, 0.5, 0.0, -0.5, -1.0]))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        shift = draw(st.integers(0, directions.shape[1] - 1))
+        members.append(around(cell, scale * x0, sign * np.roll(directions, shift, axis=1)))
+    return members, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ray_blocks(), st.integers(0, 5))
+@example((block_around(origin_on_a_slab_end("lo"), [[0.25, 0.5], [-0.5, 0.0]]), True), 0)
+@example((block_around(origin_on_a_slab_end("hi"), [[0.1, 0.0], [0.0, 0.0]]), False), 0)
+@example((block_around(zero_row_instance(), [[0.0, 0.0], [-0.5, 0.25]]), True), 0)
+@example((block_around(zero_row_instance(), [[0.25, 0.25]]), False), 3)
+@example(([norm_edge_tie(), norm_edge_tie()], True), 0)
+def test_block_ray_exits_equal_each_cells_own(blocked, r):
+    members, shared_phi = blocked
+    cells, origins, directions = (list(v) for v in zip(*members))
+    phi = cells[0].phi if shared_phi else np.stack([c.phi for c in cells])
+    block = _cell(cells[0].ensemble, np.stack([c.codes for c in cells]), 1.0, cells[0].support, phi)
+    origins, directions = np.stack(origins), np.stack(directions)
+    work = np.full((3, len(cells), block.m, directions.shape[2]), np.nan)
+    for exits in (_ray_exits(block, origins, directions, r), _ray_exits(block, origins, directions, r, work)):
+        for b, (cell, x0, d) in enumerate(members):
+            assert exits[b].tobytes() == _ray_exits(cell, x0, d, r).tobytes()
 
 
 def test_row_screen_keeps_few_rows_of_a_large_cell():

@@ -73,6 +73,12 @@ def test_config_validation():
         small_cfg(n=0)
 
 
+def test_config_rejects_a_scan_without_signals():
+    # caught at construction, not by the first draw of a running scan
+    with pytest.raises(ValueError, match="signals must be >= 1, got 0"):
+        small_cfg(mode="scan", n=3, signals=0)
+
+
 def test_campaigns_reject_an_empty_m_list():
     campaigns = ((decay_sweep, "grfcq", None), (bias_experiment, "bias", 2), (noise_power_check, "noise", None))
     for campaign, mode, k in campaigns:
