@@ -31,17 +31,42 @@ two quotients, with no case split, and gets the same double:
   are found in O(M), and only their g = 0 entries are set to inf.
 - Membership guarantees lo <= w < hi only up to rounding, so crossings are
   clamped at 0.  For the strict exit the clamp follows the min over rows,
-  with which it commutes, so it runs once per direction.
+  with which it commutes, so it runs once per direction; for the relaxed
+  exit it follows the choice of rows, below.
 
 For the relaxed cell the exit is the time of the (r+1)-th grid-boundary
 crossing accumulated over all measurements, or the ball exit if that comes
 first.
 Crossing times per measurement form an arithmetic progression (first
 boundary ahead, then every delta/|g|), so only the first r+1 terms of each
-progression can matter.  Nor can any measurement outside the r+1 whose
-first crossings come earliest: those r+1 first crossings all come no later
-than the largest of them, and no other measurement crosses before it.  Each
-direction therefore partitions (r+1)^2 candidates, whatever M is.
+progression can matter.  Nor can any measurement outside a set of r+1
+whose first crossings are least: those r+1 first crossings all come no
+later than the largest of them, and no other measurement crosses before
+it.  So any such r+1 rows, whichever of tied rows they take, give the
+same (r+1)-th crossing.  Each direction therefore partitions (r+1)^2
+candidates, whatever M is.
+
+On cells with at least _GROUP_SPAN*(r+1)*_GROUP_ROWS rows those r+1 rows
+are found without a partition over all M.  The rows fall into groups of
+_GROUP_ROWS consecutive rows, the last one shorter when _GROUP_ROWS does
+not divide M, and each group's least first crossing is taken per
+direction.  The r+1 groups of least minimum hold r+1 distinct rows, their
+minima, that cross no later than the largest of those minima, and every
+row of any other group crosses no earlier than its own group's minimum,
+which is no less.  So r+1 least first crossings among the kept groups'
+(r+1)*_GROUP_ROWS rows are r+1 least among all rows, and one partition of
+the kept rows finds them; which of tied minima or tied rows it keeps
+changes no exit, by the above.  Rows whose first crossing is inf (g = 0,
+or a quotient that overflows) take part like any other.  The short
+group's missing rows read inf: one is kept only when the (r+1)-th least
+kept crossing is inf, and then it brings inf candidates, as the real row
+it displaces would.  Filling them with a repeated row instead would count
+that row's crossings twice.  On fewer rows the groups would keep more
+than a 1/_GROUP_SPAN share of them, and one partition over all rows costs
+no more.  Only the kept r+1 first crossings are clamped at 0: max(x, 0)
+is nondecreasing, so r+1 least crossings stay r+1 least through the
+clamp, and on a kept row it gives the double that clamping every row
+first would give, +0 for -0 included.
 
 On cells with more than _SCREEN_ROWS*(r+1)*dim rows, shot along enough
 directions, a certified row screen first drops the rows that cannot decide
@@ -107,6 +132,7 @@ the pullback doubles until the witness verifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -159,6 +185,17 @@ _TINY = 2.0**-500
 # of 7), blocks of 4 to 16 cells took 28.1-33.0 ms per 200 cells, one cell
 # 47.3 ms and all 200 at once 44.2 ms.
 _BLOCK_PAIRS = 2**17
+
+# Row selection of relaxed exits (module docstring): cells with at least
+# _GROUP_SPAN * (r+1) * _GROUP_ROWS rows keep the r+1 groups of
+# _GROUP_ROWS consecutive rows with least minimum first crossing.  At 528
+# directions (2-vCPU x86-64, median of 100), _slab_exits took 0.66-0.75 of
+# the time of one partition over all rows at M = 256-1024, r = 1-4, and
+# 0.75-0.96 at the cutoff; grouping at 1.2-3.2 times (r+1) * _GROUP_ROWS
+# rows took 1.07-1.77 times as long.  Groups of 4 rows did as well on the
+# relaxed-ladder workload, groups of 16 worse.
+_GROUP_ROWS = 8
+_GROUP_SPAN = 4
 
 
 class NotInCellError(ValueError):
@@ -322,22 +359,20 @@ def _slab_exits(
         first[edge] = np.where(g[edge] == 0.0, np.inf, first[edge])
     # membership guarantees lo <= w < hi up to rounding; clamp the ulp-level
     # negatives that exact-boundary origins can produce, after the min for r = 0
-    m, d = g.shape[-2:]
+    m = g.shape[-2]
     if r == 0 or not m:
         return np.maximum(first.min(axis=-2, initial=np.inf), 0.0)
-    np.maximum(first, 0.0, out=first)
-    # One row of crossings per (cell, direction), partitioned row-major:
-    # faster than along the row axis.  The r+1 earliest first crossings are
-    # r+1 crossings no later than the largest of them, and every other row
-    # crosses no earlier than that; so the (r+1)-th crossing overall comes
-    # from those r+1 rows alone.
-    lead = g.shape[:-2]
-    first = np.swapaxes(first, -1, -2).reshape(-1, m)
-    g = np.swapaxes(g, -1, -2).reshape(-1, m)
-    if r + 1 < m:
-        near = np.argpartition(first, r, axis=1)[:, : r + 1]
-        rows = np.arange(first.shape[0])[:, None]
-        first, g = first[rows, near], g[rows, near]
+    # Per direction, r+1 rows whose first crossings are least (module
+    # docstring), direction-major: the rows of the r+1 groups of least
+    # minimum, then the least r+1 of those.  Only they are clamped.
+    if m >= _GROUP_SPAN * (r + 1) * _GROUP_ROWS:
+        first, g = _nearest_groups(first, g, r)
+    else:
+        first, g = np.swapaxes(first, -1, -2), np.swapaxes(g, -1, -2)
+    if first.shape[-1] > r + 1:
+        near = np.argpartition(first, r, axis=-1)[..., : r + 1]
+        first, g = np.take_along_axis(first, near, -1), np.take_along_axis(g, near, -1)
+    first = np.maximum(first, 0.0)
     # First r+1 crossings per kept row; kth index r selects the (r+1)-th
     # smallest of them per direction.  The spacing is capped at the largest
     # double so that a g == 0 row (or a delta/|g| that overflows) adds
@@ -345,9 +380,31 @@ def _slab_exits(
     steps = np.arange(r + 1, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore"):
         spacing = np.minimum(delta / np.abs(g), np.finfo(np.float64).max)
-        candidates = first[:, :, None] + spacing[:, :, None] * steps
-    flat = candidates.reshape(first.shape[0], -1)
-    return np.partition(flat, r, axis=1)[:, r].reshape(*lead, d)
+        candidates = first[..., None] + spacing[..., None] * steps
+    return np.partition(candidates.reshape(*first.shape[:-1], -1), r, axis=-1)[..., r]
+
+
+def _nearest_groups(first: np.ndarray, g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """First crossings and g, (..., D, (r+1)*_GROUP_ROWS), of the rows in
+    the r+1 groups of _GROUP_ROWS consecutive rows whose least first
+    crossing is least, per direction; the short tail group's missing rows
+    read inf.
+    """
+    *lead, m, d = first.shape
+    full = m - m % _GROUP_ROWS
+    minima = first[..., :full, :].reshape(*lead, -1, _GROUP_ROWS, d).min(axis=-2)
+    if full < m:
+        minima = np.concatenate([minima, first[..., full:, :].min(axis=-2, keepdims=True)], axis=-2)
+    groups = np.argpartition(np.swapaxes(minima, -1, -2), r, axis=-1)[..., : r + 1]
+    rows = (groups[..., None] * _GROUP_ROWS + np.arange(_GROUP_ROWS)).reshape(*lead, d, -1)
+    # flat index of (cell, row, direction) in the C-ordered arrays
+    index = rows * d + (np.arange(math.prod(lead)).reshape(*lead, 1, 1) * (m * d) + np.arange(d)[:, None])
+    if full == m:
+        return first.reshape(-1).take(index), g.reshape(-1).take(index)
+    # the tail group's missing rows read inf, never a repeated row
+    past = rows >= m
+    index[past] = 0
+    return np.where(past, np.inf, first.reshape(-1).take(index)), g.reshape(-1).take(index)
 
 
 def _screen_rows(

@@ -296,7 +296,7 @@ def _build_parser() -> tuple[_Parser, argparse._SubParsersAction]:
         if name == "check":
             tier_group = p.add_mutually_exclusive_group()
             tier_group.add_argument("--quick", action="store_true", help="reduced smoke tier (a few seconds)")
-            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 5 s)")
+            tier_group.add_argument("--full", action="store_true", help="stated criterion sizes (about 4 s)")
     return parser, sub
 
 

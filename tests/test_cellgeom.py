@@ -164,17 +164,20 @@ def test_relaxed_exit_saturates_at_ball():
     assert ray_exit_relaxed(cell, sig.x, d, 10_000) == pytest.approx(t_ball, rel=1e-12)
 
 
-def test_relaxed_exit_matches_fine_grid_oracle():
+@pytest.mark.parametrize("m, r", [(5, 2), (301, 2), (301, 4)])
+def test_relaxed_exit_matches_fine_grid_oracle(m, r):
+    # M = 301 reaches the grouped row selection of relaxed exits, short
+    # tail group included
     step = 1e-5
     for seed in range(8):
-        ens = gen_ensemble(5, 2, QuantizerSpec(0.6), 300 + seed)
+        ens = gen_ensemble(m, 2, QuantizerSpec(0.6), 300 + seed)
         sig = sample_signal(SignalModel.unit_ball(2), Stream(400 + seed))
         obs = sense(ens, sig)
         cell = build_cell(ens, obs.codes)
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
-        exact = ray_exit_relaxed(cell, sig.x, d, 2)
+        exact = ray_exit_relaxed(cell, sig.x, d, r)
         # crawl the ray and count code changes directly
         ts = np.arange(0.0, exact + 50 * step, step)
         points = sig.x[None, :] + ts[:, None] * d[None, :]
@@ -182,7 +185,7 @@ def test_relaxed_exit_matches_fine_grid_oracle():
         codes = np.floor(vals / 0.6).astype(np.int64)
         disc = np.abs(codes - obs.codes[None, :]).sum(axis=1)
         inside_ball = np.linalg.norm(points, axis=1) <= 1.0
-        ok = (disc <= 2) & inside_ball
+        ok = (disc <= r) & inside_ball
         first_bad = int(np.argmin(ok)) if not ok.all() else len(ts)
         oracle = ts[first_bad - 1]
         assert abs(exact - oracle) <= 2 * step
@@ -552,12 +555,46 @@ def origin_on_a_slab_end(end):
     return cell, x, np.hstack([np.eye(2), -np.eye(2)])
 
 
+def zero_row_instance():
+    """A zero row, which has g = 0 along every direction, and the rows e1
+    and e2, which have g = 0 along the other axis, shot along every signed
+    axis from an origin on row 1's lo slab end."""
+    ens = manual_ensemble([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.25], 0.5)
+    x = np.array([0.5, -0.25])
+    cell = build_cell(ens, _encode_values(ens.phi @ x + ens.xi, 0.5))
+    assert cell.lo[1] == x[0]
+    return cell, x, np.hstack([np.eye(2), -np.eye(2)])
+
+
+def tiled(instance, m=203):
+    """`instance`'s rows repeated to m rows, past the grouped row selection's
+    cutoff at r <= 5 and with a short tail group (m = 203 = 25*8 + 3).
+    Copy k of every row is dithered by delta*h_k/256 more, h_k = 29k mod 61:
+    copy 0 is the instance itself, on its slab end and with its zero row;
+    copies k and k + 61 tie, and so do rows with g = 0.  The last copy, in
+    the tail group, has h = 64: from the "lo" and zero-row origins its e1
+    row crosses first along +e1, alone, and the rows next in line lie
+    mostly in distinct groups."""
+    cell, x, directions = instance
+    copies = -(-m // cell.m)
+    h = np.arange(copies) * 29 % 61
+    h[-1] = 64
+    xi = (cell.ensemble.xi + cell.delta * h[:, None] / 256).reshape(-1)[:m]
+    ens = manual_ensemble(np.tile(cell.ensemble.phi, (copies, 1))[:m], xi, cell.delta)
+    return build_cell(ens, _encode_values(ens.phi @ x + ens.xi, cell.delta)), x, directions
+
+
 @settings(max_examples=200)
 @given(ray_instances(), st.integers(0, 5))
 @example(norm_edge_tie(), 0)
 @example(norm_edge_tie(), 5)
 @example(origin_on_a_slab_end("lo"), 0)
 @example(origin_on_a_slab_end("hi"), 0)
+@example(tiled(origin_on_a_slab_end("lo")), 2)
+@example(tiled(origin_on_a_slab_end("lo")), 5)
+@example(tiled(origin_on_a_slab_end("hi")), 2)
+@example(tiled(zero_row_instance()), 2)
+@example(tiled(zero_row_instance()), 5)
 def test_ray_exits_equal_the_full_candidate_tensor(instance, r):
     cell, x0_act, directions = instance
     exits = _ray_exits(cell, x0_act, directions, r)
@@ -568,17 +605,6 @@ def around(cell, x_act, directions):
     """A ray instance on `cell`'s ensemble and support, from another origin."""
     codes = _encode_values(cell.phi @ x_act + cell.ensemble.xi, cell.delta)
     return build_cell(cell.ensemble, codes, 1.0, cell.support), x_act, directions
-
-
-def zero_row_instance():
-    """A zero row, which has g = 0 along every direction, and the rows e1
-    and e2, which have g = 0 along the other axis, shot along every signed
-    axis from an origin on row 1's lo slab end."""
-    ens = manual_ensemble([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.25], 0.5)
-    x = np.array([0.5, -0.25])
-    cell = build_cell(ens, _encode_values(ens.phi @ x + ens.xi, 0.5))
-    assert cell.lo[1] == x[0]
-    return cell, x, np.hstack([np.eye(2), -np.eye(2)])
 
 
 def block_around(instance, origins):
@@ -611,6 +637,8 @@ def ray_blocks(draw):
 @example((block_around(zero_row_instance(), [[0.0, 0.0], [-0.5, 0.25]]), True), 0)
 @example((block_around(zero_row_instance(), [[0.25, 0.25]]), False), 3)
 @example(([norm_edge_tie(), norm_edge_tie()], True), 0)
+@example((block_around(tiled(origin_on_a_slab_end("lo")), [[0.25, 0.5], [-0.5, 0.0]]), True), 2)
+@example((block_around(tiled(zero_row_instance()), [[0.0, 0.0], [-0.5, 0.25]]), False), 5)
 def test_block_ray_exits_equal_each_cells_own(blocked, r):
     members, shared_phi = blocked
     cells, origins, directions = (list(v) for v in zip(*members))
