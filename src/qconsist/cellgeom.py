@@ -69,18 +69,26 @@ clamp, and on a kept row it gives the double that clamping every row
 first would give, +0 for -0 included.
 
 On cells with more than _SCREEN_ROWS*(r+1)*dim rows, shot along enough
-directions, a certified row screen first drops the rows that cannot decide
-any exit.  Along a unit d, row j's
-first crossing is at least its reach L_j = dist_j/||phi_j||, with
-dist_j = min(hi_j - w_j, w_j - lo_j).  The exits over the probe, the
-_PROBE_ROWS*(r+1)*dim rows of least reach, come per direction no earlier
+directions, a certified row screen leaves out the rows that cannot decide
+any exit.  Along a unit d, row j's first crossing is at least its reach
+L_j = dist_j/||phi_j||, with dist_j = min(hi_j - w_j, w_j - lo_j), and
+each cell's rows are sorted by reach.  The exits over the probe, the first
+_PROBE_ROWS*(r+1)*dim rows of that order, come per direction no earlier
 than the exits over all rows, since the (r+1)-th crossing of a subset of
-the candidates comes no earlier.  So U, the largest over all directions of
-min(probe exit, ball exit), bounds every direction's exit, and a row whose
-first crossing comes after U along every direction changes no exit.  The
-rows with L_j*(1 - pad) <= U are kept and go through the exit code above.
-g = phi @ directions stays one product, indexed by the kept rows, so every
-candidate, and so every exit, is the same double as without the screen.
+the candidates comes no earlier.  So U, the largest over the cell's
+directions of min(probe exit, ball exit), bounds each of its exits.  The
+kept rows are those with L_j*(1 - pad) <= U; a row left out crosses after
+U along every direction.  Over any set of rows that holds the kept ones,
+each direction's exit is the exit over all rows: if the exit over all
+rows comes no later than U, its r+1 least candidates all lie on kept
+rows; if later, the ball exit comes no later than U, and it is the exit
+both ways.  L*(1 - pad) rounds monotonically in L, so the kept rows are a
+prefix of the order.  When each cell's prefix fits in its probe, the
+probe's exits are the exits; otherwise one more pass runs over the first
+rows of every cell, as many as the longest prefix.  g = phi @ directions
+stays one product, and the rows are gathered from it, so every candidate,
+and so every exit, is the same double as without the screen.  A nan reach
+(inf/inf) counts as 0, so that its row is kept: a sort would put it last.
 
 The pad, _SCREEN_PAD = 1e-8, makes "L_j*(1 - pad) > U in floating point"
 imply "computed first crossing > U" for every d, with u = 2^-53 and n = dim:
@@ -120,8 +128,10 @@ elementwise or an exact min.  Folding the block into the columns of one
 and orders its sums by the wider shape, and such products differed from
 the per-cell ones in the last bit on 31 of 300 random shapes (OpenBLAS
 0.3.31, x86-64), where the stacked ones differed on none.  The row
-screen takes a lone cell only, without the block axis; cells large enough
-for it go through the kernel alone.
+screen runs on a block as on a lone cell: reach, order, U and the kept
+prefix are per cell, every cell's probe and second pass take the same
+number of rows, and the pairs that decide whether it runs are counted over
+the whole block.
 
 Width estimates are certified lower bounds: the witness point re-quantizes
 to the cell's codes (integer equality; discrepancy <= r for relaxed cells)
@@ -168,11 +178,12 @@ _BALL_TOL = 1e-9
 
 # Row screen of _ray_exits (module docstring): it runs on cells with more
 # than _SCREEN_ROWS * (r+1) * dim rows and calls with at least _SCREEN_PAIRS
-# (row, direction) pairs, where it pays, and probes the _PROBE_ROWS * (r+1) *
-# dim rows of least reach.  Below _SCREEN_PAIRS its dozen small numpy calls
-# cost more than they save, and more still in the threaded campaign runner,
-# where they hold the GIL that the large unscreened ones release.
-# _SCREEN_PAD and _TINY make it exact.
+# (row, direction) pairs over the lone cell or the whole block, where it
+# pays, and probes each cell's _PROBE_ROWS * (r+1) * dim rows of least
+# reach.  Below _SCREEN_PAIRS its dozen small numpy calls cost more than
+# they save, and more still in the threaded campaign runner, where they
+# hold the GIL that the large unscreened ones release.  _SCREEN_PAD and
+# _TINY make it exact.
 _SCREEN_ROWS = 20
 _SCREEN_PAIRS = 2**15
 _PROBE_ROWS = 8
@@ -407,23 +418,37 @@ def _nearest_groups(first: np.ndarray, g: np.ndarray, r: int) -> tuple[np.ndarra
     return np.where(past, np.inf, first.reshape(-1).take(index)), g.reshape(-1).take(index)
 
 
-def _screen_rows(
+def _screened_exits(
     cell: ConsistencyCell, gap_hi: np.ndarray, gap_lo: np.ndarray, g: np.ndarray, t_ball: np.ndarray, r: int
 ) -> np.ndarray:
-    """Rows that can hold some direction's exit: the certified row screen.
+    """Exits over a prefix of each cell's rows in order of reach that holds
+    every row the certified row screen keeps; a lone cell or a block.
 
-    See the module docstring for the bound, the pad and the floors.
+    See the module docstring for the bound, the prefix, the pad and the
+    floors.
     """
-    probe = _PROBE_ROWS * (r + 1) * cell.phi.shape[1]
-    norms = np.sqrt(np.einsum("ij,ij->i", cell.phi, cell.phi))
+    *lead, m, d = g.shape
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", cell.phi, cell.phi))
     # reach = dist / ||phi_j||, a lower bound on the row's first crossing;
-    # 0, so kept, for rows whose norm is below the floor
-    reach = np.divide(np.minimum(gap_hi, -gap_lo), norms, out=np.zeros_like(gap_hi), where=norms >= _TINY)
-    near = np.argpartition(reach, probe)[:probe]
-    exits = np.minimum(_slab_exits(gap_hi[near], gap_lo[near], g[near], cell.delta, r), t_ball)
-    bound = max(float(exits.max()), _TINY)
-    # a dropped row crosses after every exit; a nan reach (inf/inf) is kept
-    return np.flatnonzero(~(reach * (1.0 - _SCREEN_PAD) > bound))
+    # 0, so kept, for rows whose norm is below the floor, and for a nan
+    # reach (inf/inf), which argsort would put last
+    with np.errstate(invalid="ignore"):
+        reach = np.divide(np.minimum(gap_hi, -gap_lo), norms, out=np.zeros_like(gap_hi), where=norms >= _TINY)
+    reach[np.isnan(reach)] = 0.0
+    # index of each cell's rows in order of reach, among the rows of all cells
+    order = np.argsort(reach, axis=-1) + np.arange(math.prod(lead)).reshape(*lead, 1) * m
+
+    def exits_over(count: int) -> np.ndarray:
+        near = order[..., :count]
+        hi, lo = gap_hi.reshape(-1).take(near), gap_lo.reshape(-1).take(near)
+        return np.minimum(_slab_exits(hi, lo, g.reshape(-1, d).take(near, axis=0), cell.delta, r), t_ball)
+
+    probe = _PROBE_ROWS * (r + 1) * cell.phi.shape[-1]
+    exits = exits_over(probe)
+    bound = np.maximum(exits.max(axis=-1, keepdims=True), _TINY)
+    # the kept rows, reach*(1 - pad) <= bound, are a prefix of the order
+    kept = int((reach * (1.0 - _SCREEN_PAD) <= bound).sum(axis=-1).max())
+    return exits if kept <= probe else exits_over(kept)
 
 
 def _ray_exits(
@@ -432,19 +457,17 @@ def _ray_exits(
     """Exit times for unit direction columns, in active coordinates.
 
     A lone cell takes x0 (k,) and directions (k, D) and gives (D,); a block
-    takes x0 (B, k) and directions (B, k, D) and gives (B, D).  Only a lone
-    cell is row-screened.  `work`, three arrays shaped like
-    g = phi @ directions, holds g and the slab quotients when given, so
-    that a loop over blocks reuses its memory.
+    takes x0 (B, k) and directions (B, k, D) and gives (B, D).  `work`,
+    three arrays shaped like g = phi @ directions, holds g and the slab
+    quotients when given, so that a loop over blocks reuses its memory.
     """
     t_ball = _ball_exits(x0_act, directions, cell.ball_radius)
     w = _apply(cell.phi, x0_act)
     # one product for all rows, so a screened row's g has the same bits
     g = np.matmul(cell.phi, directions, out=None if work is None else work[0])
     gap_hi, gap_lo = cell.hi - w, cell.lo - w
-    if g.ndim == 2 and cell.m > _SCREEN_ROWS * (r + 1) * cell.phi.shape[1] and g.size >= _SCREEN_PAIRS:
-        rows = _screen_rows(cell, gap_hi, gap_lo, g, t_ball, r)
-        gap_hi, gap_lo, g, work = gap_hi[rows], gap_lo[rows], g[rows], None
+    if cell.m > _SCREEN_ROWS * (r + 1) * cell.phi.shape[-1] and g.size >= _SCREEN_PAIRS:
+        return _screened_exits(cell, gap_hi, gap_lo, g, t_ball, r)
     return np.minimum(_slab_exits(gap_hi, gap_lo, g, cell.delta, r, None if work is None else work[1:]), t_ball)
 
 
@@ -486,17 +509,6 @@ class WidthEstimate:
     center: np.ndarray
 
 
-def _random_directions(stream: Stream, dim: int, count: int) -> np.ndarray:
-    # Drawn direction-major so that direction sets are nested as count grows
-    # under a replayed stream.
-    while True:
-        a = gauss(stream, (count, dim))
-        # np.linalg.norm(a, axis=1), without its argument handling
-        norms = np.sqrt((a * a).sum(axis=1))
-        if (norms > 0.0).all():
-            return (a / norms[:, None]).T
-
-
 @lru_cache(maxsize=4)
 def _signed_axes(dim: int) -> np.ndarray:
     # [I, -I], one column per signed canonical axis; read-only, since every
@@ -506,10 +518,28 @@ def _signed_axes(dim: int) -> np.ndarray:
     return axes
 
 
-def _directions(stream: Stream, dim: int, count: int) -> np.ndarray:
-    # One cell's direction set: `count` random unit columns from the
-    # stream, then every signed canonical axis.
-    return np.concatenate([_random_directions(stream, dim, count), _signed_axes(dim)], axis=1)
+def _directions(streams: list[Stream], dim: int, count: int) -> np.ndarray:
+    """Each stream's direction set, (len(streams), dim, count + 2*dim):
+    `count` random unit columns, then every signed canonical axis.
+
+    The columns are drawn direction-major, so that direction sets are
+    nested as count grows under a replayed stream.  A draw with a zero row
+    is redrawn from its own stream, and all are normalized at once.
+    """
+    a = np.empty((len(streams), count, dim))
+    for b, stream in enumerate(streams):
+        a[b] = gauss(stream, (count, dim))
+    while True:
+        # np.linalg.norm(a, axis=-1), without its argument handling
+        norms = np.sqrt((a * a).sum(axis=-1))
+        if (norms > 0.0).all():
+            break
+        for b in np.flatnonzero(~(norms > 0.0).all(axis=-1)):
+            a[b] = gauss(streams[b], (count, dim))
+    directions = np.empty((len(streams), dim, count + 2 * dim))
+    np.divide(np.swapaxes(a, -1, -2), norms[:, None, :], out=directions[..., :count])
+    directions[..., count:] = _signed_axes(dim)
+    return directions
 
 
 def _check_directions(count: int) -> None:
@@ -569,7 +599,7 @@ def estimate_width(
     center = np.asarray(center, dtype=np.float64)
     if not cell_contains(cell, center):
         raise NotInCellError("width center is not a member of the cell")
-    directions = _directions(stream, cell.phi.shape[1], num_directions)
+    directions = _directions([stream], cell.phi.shape[1], num_directions)[0]
     value, witness = _farthest_members(cell, cell.restrict(center), directions, r)
     return WidthEstimate(
         value=float(value),
@@ -603,14 +633,16 @@ def empirical_worst_case(
     inside the sampled signal's true support subspace.
 
     The trials go through the exit kernel in blocks of cells (module
-    docstring), _BLOCK_PAIRS // (M*D) at a time for M rows and D
-    directions; a cell with _SCREEN_PAIRS pairs or more goes alone, through
-    the row screen.  The three (B, M, D) arrays of the exit kernel are allocated once per call:
-    allocated per block, their pages went back to the system and were
-    faulted in again for the next block (176,000 page faults in one C9
-    scan).  Each cell's witness is verified against that cell's integer
-    codes.  The codes come from the product the exits use, so each center
-    lies in its cell's slabs by construction; only the ball is checked.
+    docstring), max(1, _BLOCK_PAIRS // (M*D)) at a time for M rows and D
+    directions, and a block with enough pairs goes through the row screen.
+    Each block draws its raw direction normals stream by stream and
+    normalizes them at once.  The three (B, M, D) arrays of the exit
+    kernel are allocated once per call: allocated per block, their pages
+    went back to the system and were faulted in again for the next block
+    (176,000 page faults in one C9 scan).  Each cell's witness is verified
+    against that cell's integer codes.  The codes come from the product the
+    exits use, so each center lies in its cell's slabs by construction;
+    only the ball is checked.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -619,30 +651,22 @@ def empirical_worst_case(
         raise ValueError(f"signals have dimension {model.n}, the ensemble {ensemble.n}")
     dim = model.n if model.k is None else model.k
     count = num_directions + 2 * dim
-    pairs = ensemble.m * count
-    if pairs >= _SCREEN_PAIRS:
-        # alone, without a block axis, so that the row screen runs
-        block, stack, work = 1, (lambda parts: parts[0]), None
-    else:
-        block, stack = min(max(1, _BLOCK_PAIRS // pairs), trials), np.stack
-        work = np.empty((3, block, ensemble.m, count))
+    block = min(max(1, _BLOCK_PAIRS // (ensemble.m * count)), trials)
+    work = np.empty((3, block, ensemble.m, count))
     widths = np.empty(trials)
     for start in range(0, trials, block):
         chunk = range(start, min(start + block, trials))
-        signals, directions = [], []
-        for i in chunk:
-            stream = substream(master_seed, i)
-            signals.append(sample_signal(model, stream))
-            directions.append(_directions(stream, dim, num_directions))
+        streams = [substream(master_seed, i) for i in chunk]
+        signals = [sample_signal(model, stream) for stream in streams]
+        directions = _directions(streams, dim, num_directions)
         if model.sparse:
-            supports = stack([s.support for s in signals])
-            phi = stack([ensemble.phi.take(s.support, axis=1) for s in signals])
-            centers = stack([s.x[s.support] for s in signals])
+            supports = np.stack([s.support for s in signals])
+            phi = np.stack([ensemble.phi.take(s.support, axis=1) for s in signals])
+            centers = np.stack([s.x[s.support] for s in signals])
         else:
-            supports, phi, centers = None, ensemble.phi, stack([s.x for s in signals])
+            supports, phi, centers = None, ensemble.phi, np.stack([s.x for s in signals])
         if np.any(np.sqrt(_sq_norms(centers)) > 1.0):
             raise NotInCellError("width center is not a member of the cell")
         cells = _cell(ensemble, _codes(phi, centers, ensemble.xi, ensemble.spec.delta), 1.0, supports, phi)
-        block_work = None if work is None else work[:, : len(chunk)]
-        widths[chunk.start : chunk.stop] = _farthest_members(cells, centers, stack(directions), 0, block_work)[0]
+        widths[chunk.start : chunk.stop] = _farthest_members(cells, centers, directions, 0, work[:, : len(chunk)])[0]
     return WorstCaseResult(max_width=float(widths.max()), widths=widths)

@@ -10,7 +10,11 @@ per-task output.
 Pinned generator choices (these define reproducibility of every reported
 number, for a given numpy version):
 
-* bit generator: numpy Philox (counter-based), keyed with the 64-bit seed;
+* bit generator: numpy Philox (counter-based), keyed with the 64-bit seed:
+  key words (seed, 0) and counter 0, the state ``Philox(key=seed)`` starts
+  in.  The key reaches Philox as a seed sequence that returns those two
+  words, since ``Philox(key=seed)`` also builds an unused ``SeedSequence()``
+  from OS entropy, two thirds of the 14 us a stream took (2-vCPU x86-64);
 * standard normals: ``Generator.standard_normal`` (numpy's ziggurat);
 * uniforms: ``Generator.random`` scaled to the requested interval.
 
@@ -20,6 +24,8 @@ for a fixed master distinct indices below 2**64 can never collide.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +57,23 @@ def derive_stream(master: int, index: int) -> int:
     return _mix64((_mix64((master + _GOLDEN) & _MASK64) + index) & _MASK64)
 
 
+@lru_cache(maxsize=1)
+def _key_sequence() -> type:
+    """The type of Philox's key words (seed, 0) as a seed sequence (module
+    docstring), made on first use, so that importing this module does not
+    import numpy.random (about 13 ms), which numpy loads only when asked."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, seed: int):
+            self.seed = seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.array([self.seed, 0], dtype=np.uint64)
+
+    return Key
+
+
 class Stream:
     """A single-owner random stream.
 
@@ -65,7 +88,7 @@ class Stream:
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = int(seed)
-        self.rng = np.random.Generator(np.random.Philox(key=self.seed))
+        self.rng = np.random.Generator(np.random.Philox(_key_sequence()(self.seed)))
 
 
 def substream(master: int, index: int) -> Stream:

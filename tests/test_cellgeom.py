@@ -12,11 +12,9 @@ from qconsist import cellgeom
 from qconsist.cellgeom import (
     _BALL_TOL,
     NotInCellError,
-    _ball_exits,
     _cell,
+    _directions,
     _ray_exits,
-    _random_directions,
-    _screen_rows,
     build_cell,
     cell_contains,
     empirical_worst_case,
@@ -419,10 +417,12 @@ def widths_or_error(run):
 @example(n=3, k=None, m=99, count=128, trials=23, block=None, delta=1.0, seeds=(5, 6))
 @example(n=5, k=2, m=500, count=64, trials=3, block=2, delta=0.3, seeds=(7, 8))
 def test_worst_case_equals_the_per_trial_loop(n, k, m, count, trials, block, delta, seeds):
-    # M from 400 with 64 directions puts cells past _SCREEN_PAIRS, so they go
-    # alone through the row screen; `block` sets B, and most trial counts
-    # are not a multiple of it.  The first example is C9's shape, in blocks
-    # of the default size.
+    # A block goes through the row screen when its cells have more than
+    # 20(r+1)k rows and its (row, direction) pairs reach _SCREEN_PAIRS:
+    # from M = 400 with 64 directions a lone cell does, the blocks of the
+    # smaller cells drawn here do not.  `block` sets B, and most trial
+    # counts are not a multiple of it.  The first example is C9's shape,
+    # in screened blocks of the default size.
     model = SignalModel(n, None if k is None else min(k, n))
     ens = gen_ensemble(m, n, QuantizerSpec(delta), seeds[0])
     pairs = m * (count + 2 * (model.k or n))
@@ -430,6 +430,29 @@ def test_worst_case_equals_the_per_trial_loop(n, k, m, count, trials, block, del
     with mock.patch.object(cellgeom, "_BLOCK_PAIRS", block_pairs):
         batched = widths_or_error(lambda: empirical_worst_case(ens, model, trials, count, seeds[1]).widths)
     assert batched == widths_or_error(lambda: per_trial_worst_case(ens, model, trials, count, seeds[1]))
+
+
+def test_directions_redraw_a_zero_row_from_its_own_stream():
+    # The middle stream's first draw gets a zero row: only that stream
+    # draws again, and each set is its own stream's unit draw.
+    real = cellgeom.gauss
+    seen = []
+
+    def zero_once(stream, size):
+        draw = real(stream, size)
+        seen.append(stream.seed)
+        if seen == [10, 11]:
+            draw[2] = 0.0
+        return draw
+
+    with mock.patch.object(cellgeom, "gauss", zero_once):
+        directions = _directions([Stream(10), Stream(11), Stream(12)], 3, 5)
+    assert seen == [10, 11, 12, 11]
+    replay = Stream(11)
+    real(replay, (5, 3))
+    for got, draw in zip(directions, [real(Stream(10), (5, 3)), real(replay, (5, 3)), real(Stream(12), (5, 3))]):
+        assert got[:, :5].tobytes() == (draw / np.sqrt((draw * draw).sum(axis=1))[:, None]).T.tobytes()
+        assert got[:, 5:].tobytes() == np.hstack([np.eye(3), -np.eye(3)]).tobytes()
 
 
 def test_worst_case_checks_the_direction_count_before_drawing():
@@ -519,9 +542,9 @@ def ray_instances(draw):
     cell = build_cell(ens, codes, 1.0, support)
     dim = cell.phi.shape[1]
     count = draw(st.integers(1, 16) | st.just(128))
-    rand = _random_directions(Stream(draw(st.integers(0, 2**63))), dim, count)
+    directions = _directions([Stream(draw(st.integers(0, 2**63)))], dim, count)[0]
     scale = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
-    return cell, cell.restrict(x0), np.hstack([rand, np.eye(dim), -np.eye(dim)]) * scale
+    return cell, cell.restrict(x0), directions * scale
 
 
 def norm_edge_tie():
@@ -584,6 +607,66 @@ def tiled(instance, m=203):
     return build_cell(ens, _encode_values(ens.phi @ x + ens.xi, cell.delta)), x, directions
 
 
+def past_the_probe():
+    """One dimension, delta 1, origin 0, 257 rows, past the row screen's
+    cutoff at r <= 5 alone: 60 unit rows whose lower slab end is 0.05-0.35
+    away, then one unit row whose upper end is 0.4 away, then rows of norm
+    1/4 whose slab ends lie 2 away on both sides.  The first 60 hold the
+    least reach, so they make every probe (8(r+1) rows), yet the 61st row
+    is first to cross along +e1.  The screen keeps 61 rows, more than any
+    probe and fewer than all: the exits come from a second pass over a
+    prefix of the rows in order of reach."""
+    phi = np.full((257, 1), 0.25)
+    phi[:61] = 1.0
+    xi = np.full(257, 0.5)
+    xi[:60] = np.linspace(0.05, 0.35, 60)
+    xi[60] = 0.6
+    ens = manual_ensemble(phi, xi)
+    cell = build_cell(ens, _encode_values(ens.phi @ np.zeros(1) + ens.xi, 1.0))
+    return cell, np.zeros(1), np.tile([[1.0, -1.0]], 64)
+
+
+def nan_reach():
+    """Six rows of entries 1e200, whose squared norms overflow, on slabs
+    past the largest double (code 2**62 at delta 1e300, so lo = hi = inf),
+    then 251 unit rows whose slab ends lie 5e299 away.  The six have reach
+    -inf/inf = nan and cross at once along -e1, so they decide every exit
+    there at r <= 5: the screen must keep them, though argsort puts a nan
+    last.  No origin is a member of the six slabs; the kernel is exact on
+    it all the same."""
+    phi = np.ones((257, 1))
+    phi[:6] = 1e200
+    codes = np.zeros(257, dtype=np.int64)
+    codes[:6] = 2**62
+    with np.errstate(over="ignore"):
+        cell = build_cell(manual_ensemble(phi, np.full(257, 0.5e300), 1e300), codes)
+    assert np.isinf(cell.lo[:6]).all()
+    return cell, np.zeros(1), np.tile([[1.0, -1.0]], 64)
+
+
+def inside_the_pad():
+    """250 rows e1 and 6 rows (3/4, 3/4), shot along 128 copies of
+    d = (1 + 1e-9)(1, 1)/sqrt(2) from the origin, 0.  Each (3/4, 3/4) row
+    crosses at its reach L over ||d|| and the e1 rows, of lesser reach, at
+    L(1 - 5e-10), so the probe, all e1 rows, bounds the exits by
+    U = L(1 - 5e-10): below L, but above L(1 - 1e-8).  Only the pad keeps
+    the six rows that decide every exit at r <= 5."""
+    d = (1.0 + 1e-9) / math.sqrt(2.0)
+    reach = 0.5 / (0.75 * math.sqrt(2.0))
+    xi = np.full(256, 0.5)
+    xi[:250] = 1.0 - reach * (1.0 - 5e-10) * d
+    ens = manual_ensemble(np.vstack([np.tile([1.0, 0.0], (250, 1)), np.full((6, 2), 0.75)]), xi)
+    cell = build_cell(ens, _encode_values(ens.phi @ np.zeros(2) + ens.xi, 1.0))
+    return cell, np.zeros(2), np.full((2, 128), d)
+
+
+def widened(instance, copies=33):
+    """`instance` tiled to 251 rows (m = 31*8 + 3) and shot along `copies`
+    copies of its directions: past the row screen's cutoff at r <= 5."""
+    cell, x, directions = tiled(instance, 251)
+    return cell, x, np.tile(directions, copies)
+
+
 @settings(max_examples=200)
 @given(ray_instances(), st.integers(0, 5))
 @example(norm_edge_tie(), 0)
@@ -595,6 +678,13 @@ def tiled(instance, m=203):
 @example(tiled(origin_on_a_slab_end("hi")), 2)
 @example(tiled(zero_row_instance()), 2)
 @example(tiled(zero_row_instance()), 5)
+@example(past_the_probe(), 0)
+@example(past_the_probe(), 5)
+@example(nan_reach(), 0)
+@example(nan_reach(), 5)
+@example(inside_the_pad(), 0)
+@example(inside_the_pad(), 5)
+@example(widened(zero_row_instance()), 5)
 def test_ray_exits_equal_the_full_candidate_tensor(instance, r):
     cell, x0_act, directions = instance
     exits = _ray_exits(cell, x0_act, directions, r)
@@ -610,6 +700,13 @@ def around(cell, x_act, directions):
 def block_around(instance, origins):
     cell, x, directions = instance
     return [instance] + [around(cell, np.asarray(o, float), directions[:, ::-1]) for o in origins]
+
+
+def from_origins(instance, origins):
+    """`instance`'s own cell, shot from `origins` too, along its reversed
+    directions."""
+    cell, x, directions = instance
+    return [instance] + [(cell, np.asarray(o, float), directions[:, ::-1]) for o in origins]
 
 
 @st.composite
@@ -639,25 +736,41 @@ def ray_blocks(draw):
 @example(([norm_edge_tie(), norm_edge_tie()], True), 0)
 @example((block_around(tiled(origin_on_a_slab_end("lo")), [[0.25, 0.5], [-0.5, 0.0]]), True), 2)
 @example((block_around(tiled(zero_row_instance()), [[0.0, 0.0], [-0.5, 0.25]]), False), 5)
+@example((block_around(widened(zero_row_instance()), [[0.0, 0.0], [-0.5, 0.25]]), False), 4)
+@example((block_around(past_the_probe(), [[0.01], [-0.02]]), True), 0)
+@example((block_around(past_the_probe(), [[0.01], [-0.02]]), False), 5)
+@example((from_origins(nan_reach(), [[0.5], [-0.25]]), True), 0)
+@example((from_origins(nan_reach(), [[0.5], [-0.25]]), False), 3)
+@example((block_around(inside_the_pad(), [[0.1, -0.1]]), False), 0)
+@example((block_around(inside_the_pad(), [[0.1, -0.1]]), True), 5)
 def test_block_ray_exits_equal_each_cells_own(blocked, r):
+    # A block goes through the row screen when its cells' pairs add up to
+    # _SCREEN_PAIRS, though each cell alone may not; each cell's exits are
+    # checked against the oracle.
     members, shared_phi = blocked
     cells, origins, directions = (list(v) for v in zip(*members))
     phi = cells[0].phi if shared_phi else np.stack([c.phi for c in cells])
-    block = _cell(cells[0].ensemble, np.stack([c.codes for c in cells]), 1.0, cells[0].support, phi)
+    with np.errstate(over="ignore"):  # nan_reach's slab bounds overflow
+        block = _cell(cells[0].ensemble, np.stack([c.codes for c in cells]), 1.0, cells[0].support, phi)
     origins, directions = np.stack(origins), np.stack(directions)
     work = np.full((3, len(cells), block.m, directions.shape[2]), np.nan)
+    expected = [tensor_ray_exits(cell, x0, d, r).tobytes() for cell, x0, d in members]
     for exits in (_ray_exits(block, origins, directions, r), _ray_exits(block, origins, directions, r, work)):
-        for b, (cell, x0, d) in enumerate(members):
-            assert exits[b].tobytes() == _ray_exits(cell, x0, d, r).tobytes()
+        assert [e.tobytes() for e in exits] == expected
 
 
 def test_row_screen_keeps_few_rows_of_a_large_cell():
     ens = gen_ensemble(1024, 8, UNIT, 31)
     sig = sample_signal(SignalModel.unit_ball(8), Stream(32))
     cell = build_cell(ens, sense(ens, sig).codes)
-    directions = np.hstack([_random_directions(Stream(33), 8, 512), np.eye(8), -np.eye(8)])
-    w = cell.phi @ sig.x
-    g = cell.phi @ directions
-    rows = _screen_rows(cell, cell.hi - w, cell.lo - w, g, _ball_exits(sig.x, directions, 1.0), 0)
-    assert 0 < rows.size < 0.1 * cell.m
-    assert _ray_exits(cell, sig.x, directions, 0).tobytes() == tensor_ray_exits(cell, sig.x, directions, 0).tobytes()
+    directions = _directions([Stream(33)], 8, 512)[0]
+    slab_exits, rows = cellgeom._slab_exits, []
+
+    def counting(gap_hi, *args):
+        rows.append(gap_hi.shape[-1])
+        return slab_exits(gap_hi, *args)
+
+    with mock.patch.object(cellgeom, "_slab_exits", counting):
+        exits = _ray_exits(cell, sig.x, directions, 0)
+    assert 0 < max(rows) < 0.1 * cell.m
+    assert exits.tobytes() == tensor_ray_exits(cell, sig.x, directions, 0).tobytes()

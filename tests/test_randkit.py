@@ -91,3 +91,14 @@ def test_parallel_substreams_match_serial():
         threaded = list(pool.map(draw, range(32)))
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_stream_is_philox_keyed_with_the_seed(seed):
+    # Stream hands Philox its key through a seed sequence instead of key=;
+    # a numpy that takes the key differently fails here, not in the numbers.
+    reference = np.random.Generator(np.random.Philox(key=seed))
+    stream = Stream(seed)
+    # repr shows every field, and each array's values and dtype
+    assert repr(stream.rng.bit_generator.state) == repr(reference.bit_generator.state)
+    assert gauss(stream, 1000).tobytes() == reference.standard_normal(1000).tobytes()
